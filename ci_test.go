@@ -1,14 +1,9 @@
 // CI-style repository guards: a go vet pass over every package, a gofmt
-// formatting guard, a go.mod tidiness check, and a deprecation guard that
-// keeps migrated call sites from regressing onto the legacy
-// cluster-construction and fabric-stream entry points.
+// formatting guard and a go.mod tidiness check.
 package repro
 
 import (
-	"os"
 	"os/exec"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -54,56 +49,5 @@ func TestGoModTidy(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("go mod tidy -diff reports drift (run `go mod tidy`):\n%s", out)
-	}
-}
-
-// deprecatedCallRe matches call sites of the legacy cluster/fabric API: the
-// spec-driven Platform surface (NewPlatform, SetLinkStreams) replaced them,
-// and the old names survive only as thin wrappers for compatibility.
-var deprecatedCallRe = regexp.MustCompile(`\b(NewCluster|ClusterFromSpec|SetFabricStreams|SetFabricLinkStreams)\(`)
-
-// wrapperFiles hold the deprecated wrappers themselves; everything else is
-// expected to use the replacement API.
-var wrapperFiles = map[string]bool{
-	filepath.Join("internal", "numasim", "cluster.go"): true,
-	filepath.Join("internal", "numasim", "machine.go"): true,
-}
-
-// TestDeprecatedFabricAPIHasNoCallers greps every non-test, non-wrapper Go
-// file for direct calls to the deprecated entry points, so migrated call
-// sites cannot silently regress. Tests may keep calling the wrappers — that
-// is how their equivalence with the new surface stays pinned.
-func TestDeprecatedFabricAPIHasNoCallers(t *testing.T) {
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || wrapperFiles[path] {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for i, line := range strings.Split(string(src), "\n") {
-			code := line
-			if idx := strings.Index(code, "//"); idx >= 0 {
-				code = code[:idx]
-			}
-			if m := deprecatedCallRe.FindString(code); m != "" {
-				t.Errorf("%s:%d calls deprecated %s — use the Platform API (NewPlatform / SetLinkStreams)",
-					path, i+1, strings.TrimSuffix(m, "("))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -100,7 +100,7 @@ func TestManifestPasses(t *testing.T) {
 	if err := checkManifest(&buf, manifest); err != nil {
 		t.Fatalf("complete manifest failed: %v\n%s", err, buf.String())
 	}
-	for _, want := range []string{"wall-gated x2", "ordering-gated"} {
+	for _, want := range []string{"cycle- and wall-gated x2", "cycle-gated"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("manifest table misses %q:\n%s", want, buf.String())
 		}
@@ -184,10 +184,59 @@ func TestDiffRejectsBadInputs(t *testing.T) {
 	if err := diff(&buf, noWalls, base, 2); err == nil {
 		t.Error("baseline without wall rows accepted")
 	}
-	if err := diff(&buf, base, base, 0); err == nil {
-		t.Error("non-positive factor accepted")
+	if err := diff(&buf, base, base, -1); err == nil {
+		t.Error("negative factor accepted")
 	}
 	if err := diff(&buf, filepath.Join(dir, "absent.json"), base, 2); err == nil {
 		t.Error("missing baseline file accepted")
+	}
+}
+
+// TestDiffCycleGate pins the always-on cycle gate: any cycles difference on
+// a row present in both documents fails, at every factor including the
+// wall-skipping 0; rows present on one side only are not compared; and
+// factor 0 ignores wall times entirely.
+func TestDiffCycleGate(t *testing.T) {
+	cases := []struct {
+		name    string
+		base    string
+		cur     string
+		factor  float64
+		wantErr string // "" means the diff must pass
+	}{
+		{"identical", baseDoc, baseDoc, 2, ""},
+		{"identical, walls skipped", baseDoc, baseDoc, 0, ""},
+		{"perturbed simulated row", baseDoc,
+			strings.Replace(baseDoc, `"cycles": 1e9`, `"cycles": 1000000001`, 1), 2, "shift/phase/static"},
+		{"perturbed row, walls skipped", baseDoc,
+			strings.Replace(baseDoc, `"cycles": 1e9`, `"cycles": 999999999.5`, 1), 0, "shift/phase/static"},
+		{"perturbed wall row", baseDoc,
+			strings.Replace(baseDoc, `"cycles": 0, "wall_seconds": 2.0`, `"cycles": 3, "wall_seconds": 2.0`, 1), 2,
+			"scale/scale/random/10k-tasks/100-nodes"},
+		{"row only in baseline", baseDoc,
+			strings.Replace(baseDoc, `"name": "phase/static"`, `"name": "phase/renamed"`, 1), 2, ""},
+		{"wall regression ignored at factor 0", baseDoc,
+			strings.Replace(baseDoc, `"wall_seconds": 1.0`, `"wall_seconds": 50`, 1), 0, ""},
+		{"simulated-only baseline at factor 0", simOnlyDoc, simOnlyDoc, 0, ""},
+		{"simulated-only baseline, perturbed", simOnlyDoc,
+			strings.Replace(simOnlyDoc, `"seconds": 3.5}`, `"seconds": 3.5, "cycles": 7}`, 1), 0, "phase/static"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := writeReport(t, dir, "base.json", tc.base)
+			cur := writeReport(t, dir, "cur.json", tc.cur)
+			var buf bytes.Buffer
+			err := diff(&buf, base, cur, tc.factor)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("diff failed: %v\n%s", err, buf.String())
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "cycles") {
+				t.Fatalf("got %v, want a cycles failure naming %q\n%s", err, tc.wantErr, buf.String())
+			}
+		})
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/numasim"
@@ -96,8 +97,23 @@ func buildOptions(policy, fit, queue string, backfill, preempt, defrag bool, def
 }
 
 // buildStream validates the generator flags into a stream configuration.
-// The configuration is only consulted when no -workload file is given.
+// The configuration is only consulted when no -workload file is given. Each
+// out-of-range flag is named in the error; zero is rejected where the
+// generator would otherwise silently substitute its default (-jobs 0 would
+// run a 40-job stream).
 func buildStream(jobs int, seed int64, churn, constraints float64, preferred, required string, priorities int, longFrac float64) (sched.StreamConfig, error) {
+	switch {
+	case jobs < 1 || jobs > 1<<20:
+		return sched.StreamConfig{}, fmt.Errorf("-jobs: %d jobs outside [1,%d]", jobs, 1<<20)
+	case !(churn > 0) || math.IsInf(churn, 0):
+		return sched.StreamConfig{}, fmt.Errorf("-churn: churn %v must be positive and finite", churn)
+	case !(constraints >= 0 && constraints <= 1):
+		return sched.StreamConfig{}, fmt.Errorf("-constraints: fraction %v outside [0,1]", constraints)
+	case priorities < 0 || priorities > 100:
+		return sched.StreamConfig{}, fmt.Errorf("-priorities: %d priority classes outside [0,100]", priorities)
+	case !(longFrac >= 0 && longFrac <= 1):
+		return sched.StreamConfig{}, fmt.Errorf("-long-fraction: long fraction %v outside [0,1]", longFrac)
+	}
 	cfg := sched.StreamConfig{
 		Jobs:               jobs,
 		Seed:               seed,

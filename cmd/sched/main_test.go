@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,6 +82,24 @@ func TestBuildStreamValidation(t *testing.T) {
 			priorities: 101, wantErr: "priority classes"},
 		{name: "long fraction above one", jobs: 40, seed: 7, churn: 4,
 			longFrac: 1.5, wantErr: "long fraction"},
+		// Every out-of-range generator flag is named in the error, and
+		// zero is rejected where the generator would substitute a default.
+		{name: "zero jobs", jobs: 0, churn: 4, wantErr: "-jobs: "},
+		{name: "negative jobs", jobs: -3, churn: 4, wantErr: "-jobs: "},
+		{name: "too many jobs flag", jobs: 1<<20 + 1, churn: 4, wantErr: "-jobs: "},
+		{name: "zero churn", jobs: 40, churn: 0, wantErr: "-churn: "},
+		{name: "negative churn flag", jobs: 40, churn: -1, wantErr: "-churn: "},
+		{name: "NaN churn", jobs: 40, churn: math.NaN(), wantErr: "-churn: "},
+		{name: "infinite churn", jobs: 40, churn: math.Inf(1), wantErr: "-churn: "},
+		{name: "negative constraints", jobs: 40, churn: 4, constraints: -0.1, wantErr: "-constraints: "},
+		{name: "constraints above one", jobs: 40, churn: 4, constraints: 1.5, wantErr: "-constraints: "},
+		{name: "NaN constraints", jobs: 40, churn: 4, constraints: math.NaN(), wantErr: "-constraints: "},
+		{name: "negative priorities", jobs: 40, churn: 4, priorities: -1, wantErr: "-priorities: "},
+		{name: "priorities above 100", jobs: 40, churn: 4, priorities: 101, wantErr: "-priorities: "},
+		{name: "negative long fraction", jobs: 40, churn: 4, longFrac: -0.5, wantErr: "-long-fraction: "},
+		{name: "long fraction above one flag", jobs: 40, churn: 4, longFrac: 2, wantErr: "-long-fraction: "},
+		{name: "NaN long fraction", jobs: 40, churn: 4, longFrac: math.NaN(), wantErr: "-long-fraction: "},
+		{name: "boundaries", jobs: 1, churn: 4, constraints: 1, priorities: 100, longFrac: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +112,10 @@ func TestBuildStreamValidation(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
+			}
+			// main adds the single "sched: " prefix.
+			if strings.Contains(err.Error(), "sched:") {
+				t.Errorf("error %q carries a package prefix of its own", err)
 			}
 		})
 	}

@@ -81,9 +81,8 @@ func (c ClusterConfig) Validate() error {
 }
 
 // Cluster builds the simulated cluster for a configuration via the
-// spec-driven platform path. A Fabric.Racks override still splits the
-// nodes across that many top-of-rack switches, as the legacy constructor
-// did.
+// spec-driven platform path. A Fabric.Racks override splits the nodes
+// evenly across that many top-of-rack switches.
 func Cluster(cfg ClusterConfig) (*numasim.Platform, error) {
 	cfg = cfg.withDefaults()
 	nodeSpec := fmt.Sprintf("pack:%d l3:1 core:%d pu:1",

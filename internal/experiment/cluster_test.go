@@ -148,9 +148,9 @@ func TestClusterAdaptive(t *testing.T) {
 	}
 }
 
-// TestClusterHonorsFabricRacks pins that the platform-path builder still
-// honors the legacy Fabric.Racks override (the old NewCluster path split
-// the nodes across top-of-rack switches; the spec-driven path must too).
+// TestClusterHonorsFabricRacks pins that the platform-path builder honors
+// the Fabric.Racks override: the nodes split evenly across that many
+// top-of-rack switches, and an uneven split is rejected.
 func TestClusterHonorsFabricRacks(t *testing.T) {
 	c, err := Cluster(ClusterConfig{Nodes: 4, Fabric: numasim.Fabric{Racks: 2}})
 	if err != nil {

@@ -105,10 +105,9 @@ func TestRackClusterShape(t *testing.T) {
 	if c.Racks() != 2 || c.Nodes() != 4 {
 		t.Fatalf("shape: %d racks, %d nodes", c.Racks(), c.Nodes())
 	}
-	f := c.Fabric()
-	if f.UplinkBandwidthBytesPerSec != f.LinkBandwidthBytesPerSec {
-		t.Errorf("uplink bandwidth %.3g, want the oversubscribed NIC-class default %.3g",
-			f.UplinkBandwidthBytesPerSec, f.LinkBandwidthBytesPerSec)
+	levels := c.FabricLevels()
+	if nic, uplink := levels[0].BandwidthBytesPerSec, levels[1].BandwidthBytesPerSec; uplink != nic {
+		t.Errorf("uplink bandwidth %.3g, want the oversubscribed NIC-class default %.3g", uplink, nic)
 	}
 }
 

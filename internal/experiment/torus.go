@@ -309,11 +309,12 @@ func torusPolicy(mode string) (placement.Policy, error) {
 		// gains the curve-chain candidate).
 		return placement.Hierarchical{}, nil
 	case "tree-matched":
-		// The balanced-tree model of earlier revisions: a shaped fabric
-		// admits no balanced abstract tree, so the matching is skipped and
-		// the partition keeps the positional group→node order — which
-		// inherits the scramble.
-		return placement.Hierarchical{TreeFabric: true}, nil
+		// What a balanced-tree matcher does on a shaped fabric, which admits
+		// no balanced abstract tree: the group→node matching is skipped (no
+		// curve seed, no curve chain in the partition) and the partition
+		// keeps the positional group→node order — which inherits the
+		// scramble.
+		return placement.Hierarchical{NoFabricMatch: true}, nil
 	case "rr":
 		return placement.RoundRobinNodes{}, nil
 	default:

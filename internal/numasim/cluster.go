@@ -20,14 +20,8 @@ import (
 type Platform struct {
 	fused   *Machine
 	members []*Machine
-	fabric  Fabric
 	levels  []FabricLevel
 }
-
-// Cluster is the former name of Platform.
-//
-// Deprecated: use Platform (and NewPlatform instead of NewCluster).
-type Cluster = Platform
 
 // FabricLevel describes the links of one fabric tier, innermost first:
 // level 0 the per-node NIC links, level 1 the rack uplinks, level 2 the pod
@@ -42,10 +36,12 @@ type FabricLevel struct {
 	BandwidthBytesPerSec float64
 }
 
-// Fabric describes a flat or racked cluster interconnect, the legacy
-// parameter block of NewCluster. Zero fields take the defaults of
-// topology.DefaultAttrs (a 2016-era 10-Gigabit-Ethernet class network with
-// 2×10GbE-class rack uplinks).
+// Fabric is the link-attribute override block of the experiment configs:
+// NIC and rack-uplink latencies and bandwidths, plus a rack count the
+// experiment builders turn into a rack tier of the platform spec. Zero
+// fields take the defaults of topology.DefaultAttrs (a 2016-era
+// 10-Gigabit-Ethernet class network with 2×10GbE-class rack uplinks);
+// Defaults bridges the block to NewPlatformAttrs.
 //
 // Deprecated: express the fabric in the platform spec and override link
 // attributes via NewPlatformAttrs; this struct cannot describe a pod tier.
@@ -70,9 +66,9 @@ type Fabric struct {
 	UplinkBandwidthBytesPerSec float64
 }
 
-// Defaults merges the fabric's non-zero fields onto topology.DefaultAttrs,
-// the bridge from the legacy parameter block to the spec-driven platform
-// path.
+// Defaults merges the fabric's non-zero link attributes onto
+// topology.DefaultAttrs, the bridge from the override block to
+// NewPlatformAttrs.
 func (f Fabric) Defaults() topology.Defaults {
 	def := topology.DefaultAttrs()
 	if f.LinkLatencyCycles > 0 {
@@ -145,80 +141,7 @@ func NewPlatformAttrs(spec string, def topology.Defaults, cfg Config) (*Platform
 		}
 		p.members = append(p.members, mm)
 	}
-	racks := fusedTopo.NumRacks()
-	if racks == 0 {
-		racks = 1
-	}
-	p.fabric = Fabric{
-		LinkLatencyCycles:          def.NetLatencyCycles,
-		LinkBandwidthBytesPerSec:   def.NetBandwidth,
-		Racks:                      racks,
-		UplinkLatencyCycles:        def.UplinkLatencyCycles,
-		UplinkBandwidthBytesPerSec: def.UplinkBandwidth,
-	}
 	return p, nil
-}
-
-// NewCluster builds a cluster of n identical machines, each described by
-// nodeSpec (a single-machine topology spec; it must not itself contain a
-// fabric tier).
-//
-// Deprecated: use NewPlatform with the fabric tiers in the spec
-// ("cluster:n nodeSpec", or "rack:r cluster:n/r nodeSpec"), and
-// NewPlatformAttrs for link-attribute overrides.
-func NewCluster(n int, nodeSpec string, fabric Fabric, cfg Config) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("numasim: cluster needs at least 1 node, got %d", n)
-	}
-	racks := fabric.Racks
-	if racks < 1 {
-		racks = 1
-	}
-	if n%racks != 0 {
-		return nil, fmt.Errorf("numasim: %d cluster nodes not divisible across %d racks", n, racks)
-	}
-	member, err := topology.FromSpec(nodeSpec)
-	if err != nil {
-		return nil, fmt.Errorf("numasim: cluster node spec: %w", err)
-	}
-	if len(member.ClusterNodes()) > 0 || member.NumRacks() > 0 || member.NumPods() > 0 {
-		return nil, fmt.Errorf("numasim: node spec %q already contains a cluster level, rack level or pod level", nodeSpec)
-	}
-	spec := fmt.Sprintf("cluster:%d %s", n, member.Spec())
-	if racks > 1 {
-		spec = fmt.Sprintf("rack:%d cluster:%d %s", racks, n/racks, member.Spec())
-	}
-	return NewPlatformAttrs(spec, fabric.Defaults(), cfg)
-}
-
-// ClusterFromSpec builds a cluster from a full cluster topology spec such as
-// "node:4 pack:2 core:8", "cluster:2 core:16" or — with a rack tier —
-// "rack:2 node:4 pack:2 core:8". A spec without a cluster level yields a
-// single-node cluster; a rack tier in the spec overrides fabric.Racks, and
-// fabric.Racks > 1 splits a flat spec's nodes across that many racks.
-//
-// Deprecated: use NewPlatform/NewPlatformAttrs, which additionally accept
-// uneven fabric tiers, per-member machine specs and a pod tier.
-func ClusterFromSpec(spec string, fabric Fabric, cfg Config) (*Cluster, error) {
-	ps, err := topology.ParsePlatform(spec)
-	if err != nil {
-		return nil, err
-	}
-	if ps.Racks() == 0 && fabric.Racks > 1 {
-		// The legacy path let the Fabric block impose a rack tier on a flat
-		// spec; reconstruct the platform spec with the tier made explicit.
-		// Only for identical members — rebuilding from Members[0] would
-		// silently homogenize a heterogeneous platform.
-		if !ps.Homogeneous() {
-			return nil, fmt.Errorf("numasim: Fabric.Racks cannot impose a rack tier on heterogeneous members; put the rack tier in the spec")
-		}
-		n := ps.Nodes()
-		if n%fabric.Racks != 0 {
-			return nil, fmt.Errorf("numasim: %d cluster nodes not divisible across %d racks", n, fabric.Racks)
-		}
-		spec = fmt.Sprintf("rack:%d cluster:%d %s", fabric.Racks, n/fabric.Racks, ps.Members[0])
-	}
-	return NewPlatformAttrs(spec, fabric.Defaults(), cfg)
 }
 
 // Machine returns the fused platform-wide simulation machine the runtime
@@ -253,12 +176,6 @@ func (c *Platform) Heterogeneous() bool {
 func (c *Platform) FabricLevels() []FabricLevel {
 	return append([]FabricLevel(nil), c.levels...)
 }
-
-// Fabric returns the effective interconnect parameters of the NIC and
-// rack-uplink tiers.
-//
-// Deprecated: use FabricLevels, which also reports a pod tier.
-func (c *Platform) Fabric() Fabric { return c.fabric }
 
 // Racks returns the number of top-of-rack switches (1 on a flat fabric).
 func (c *Platform) Racks() int {

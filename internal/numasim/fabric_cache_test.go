@@ -93,8 +93,8 @@ func TestFabricBandwidthCacheMatchesWalk(t *testing.T) {
 		}
 		m := plat.Machine()
 		n := len(m.Topology().ClusterNodes())
-		// Exercise the global fallback, full per-edge counts, and a mix of
-		// set and unset (-1, global-fallback) edges.
+		// Exercise the uncapped fabric, full per-edge counts, and a mix of
+		// set and unset (-1, uncapped) edges.
 		ne := m.NumFabricEdges()
 		full := make([]int, ne)
 		mixed := make([]int, ne)
@@ -105,26 +105,17 @@ func TestFabricBandwidthCacheMatchesWalk(t *testing.T) {
 				mixed[e] = -1
 			}
 		}
-		streamStates := []struct {
-			streams []int
-			global  int
-		}{
-			{nil, 1},
-			{nil, 7},
-			{full, 2},
-			{mixed, 5},
-		}
-		for _, st := range streamStates {
+		for si, streams := range [][]int{nil, full, mixed} {
 			for from := 0; from < n; from++ {
 				for to := 0; to < n; to++ {
 					if from == to {
 						continue
 					}
-					cached := m.fabricBandwidth(from, to, st.streams, st.global)
-					walked := m.fabricBandwidthWalk(from, to, st.streams, st.global)
+					cached := m.fabricBandwidth(from, to, streams)
+					walked := m.fabricBandwidthWalk(from, to, streams)
 					if cached != walked {
-						t.Errorf("%s global=%d: bandwidth(%d,%d) cached %v != walked %v",
-							spec, st.global, from, to, cached, walked)
+						t.Errorf("%s stream state %d: bandwidth(%d,%d) cached %v != walked %v",
+							spec, si, from, to, cached, walked)
 					}
 				}
 			}
@@ -185,8 +176,8 @@ func TestLinkStreamsPriceIdenticallyPerEdge(t *testing.T) {
 				if from == to {
 					continue
 				}
-				pa := a.fabricBandwidth(from, to, a.edgeStreams, a.fabricStreams)
-				pb := b.fabricBandwidth(from, to, b.edgeStreams, b.fabricStreams)
+				pa := a.fabricBandwidth(from, to, a.edgeStreams)
+				pb := b.fabricBandwidth(from, to, b.edgeStreams)
 				if pa != pb {
 					t.Errorf("%s: bandwidth(%d,%d) via wrapper %v != per-edge %v", spec, from, to, pa, pb)
 				}

@@ -149,7 +149,7 @@ func TestDegradedEdgeReducesBandwidth(t *testing.T) {
 		t.Fatalf("degraded transfer %v not slower than healthy %v", degraded, healthy)
 	}
 	// The cached and reference bandwidth paths must agree under the fault.
-	if a, b := m.fabricBandwidth(0, 1, nil, 0), m.fabricBandwidthWalk(0, 1, nil, 0); a != b {
+	if a, b := m.fabricBandwidth(0, 1, nil), m.fabricBandwidthWalk(0, 1, nil); a != b {
 		t.Fatalf("fabricBandwidth %v != fabricBandwidthWalk %v under degrade", a, b)
 	}
 	// A second degrade compounds.

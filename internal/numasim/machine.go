@@ -31,9 +31,9 @@
 // instead — the accumulated per-link latency of the actual hop path (NIC
 // links, plus rack uplinks across racks and pod uplinks across pods;
 // fabricLatencyCycles) and streaming at the bottleneck link bandwidth, each
-// link shared by its declared crossing streams (per-level SetLinkStreams, or
-// the machine-wide SetFabricStreams fallback). The simulator prices whatever
-// placement it is
+// link shared by its declared crossing streams (per-edge SetEdgeStreams, or
+// the per-level SetLinkStreams form on tree fabrics; a link without a
+// declared count is uncapped). The simulator prices whatever placement it is
 // given; it does not optimize. The placement side optimizes a structural
 // byte×hop objective whose units never appear here — internal/comm's
 // package documentation records where the two models are known to diverge.
@@ -196,20 +196,14 @@ type Machine struct {
 	// inter-socket fabric in steady state; they share
 	// cfg.InterconnectBandwidth.
 	remoteStreams int
-	// fabricStreams is the static number of streams crossing cluster-node
-	// boundaries in steady state, the machine-wide fallback contention model:
-	// every fabric link's bandwidth is shared among all of them. A fabric
-	// level applies it only while that level's per-link counts are unset.
-	fabricStreams int
 	// edgeStreams[e], when edgeStreams is non-nil and edgeStreams[e] >= 0,
 	// is the number of crossing streams touching fabric-graph edge e; a
-	// negative entry leaves that edge on the global fabricStreams fallback.
-	// Per-edge counts replace the global model edge by edge: a transfer is
-	// capped by the most contended edge on its routed path, so balancing the
-	// crossing streams across the fabric recovers bandwidth that the global
-	// model would average away. On tree fabrics SetLinkStreams addresses
-	// this same storage through levelEdge, so per-level declarations price
-	// identically through the per-edge path. The slice is replaced wholesale
+	// negative entry (or a nil slice) leaves that edge uncapped. A transfer
+	// is capped by the most contended edge on its routed path, so balancing
+	// the crossing streams across the fabric recovers bandwidth. On tree
+	// fabrics SetLinkStreams addresses this same storage through levelEdge,
+	// so per-level declarations price identically through the per-edge
+	// path. The slice is replaced wholesale
 	// on every update (copy-on-write), so a snapshot taken under the lock
 	// stays consistent outside it.
 	edgeStreams []int
@@ -374,14 +368,13 @@ func (m *Machine) Accessors(node int) int {
 }
 
 // ResetAccessors restores every node to contention degree 1 and clears the
-// remote-stream and fabric-stream counts (global and per-link).
+// remote-stream and per-edge fabric-stream counts.
 func (m *Machine) ResetAccessors() {
 	m.mu.Lock()
 	for i := range m.accessors {
 		m.accessors[i] = 1
 	}
 	m.remoteStreams = 0
-	m.fabricStreams = 0
 	m.edgeStreams = nil
 	m.mu.Unlock()
 }
@@ -404,49 +397,6 @@ func (m *Machine) RemoteStreams() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.remoteStreams
-}
-
-// SetFabricStreams declares the machine-wide fallback fabric contention: how
-// many streams cross cluster-node boundaries in steady state, every fabric
-// edge's bandwidth shared equally among all of them. 0 disables the cap. Any
-// per-edge counts previously declared with SetEdgeStreams or SetLinkStreams
-// are cleared — the two models are alternatives, the per-edge one strictly
-// finer. A no-op concern on single-machine topologies, where nothing
-// crosses.
-//
-// Deprecated: declare per-edge counts with SetEdgeStreams (or the per-level
-// SetLinkStreams form on tree fabrics); this remains as the global-fallback
-// setter behind them.
-func (m *Machine) SetFabricStreams(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.mu.Lock()
-	m.fabricStreams = n
-	m.edgeStreams = nil
-	m.mu.Unlock()
-}
-
-// FabricStreams returns the declared machine-wide fabric contention degree
-// (the fallback model): 0 once every fabric edge carries a per-edge count —
-// the global count is then out of force everywhere — and the declared count
-// otherwise, because edges without per-edge counts still price against it.
-func (m *Machine) FabricStreams() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fabricGraph != nil && m.edgeStreams != nil {
-		all := true
-		for _, s := range m.edgeStreams {
-			if s < 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			return 0
-		}
-	}
-	return m.fabricStreams
 }
 
 // NumFabricLevels returns the number of link levels of the cluster fabric,
@@ -485,11 +435,10 @@ func (m *Machine) FabricGroupOf(level, c int) int { return m.fabricGroupOf[level
 // on its routed path, so a placement that balances the crossing streams
 // across the fabric sustains more bandwidth than one that funnels them
 // through a single edge, even at equal total cut. A negative count leaves
-// that edge on the global fallback (SetFabricStreams); passing nil reverts
-// every edge. A mis-sized slice panics (a programming error, like an
-// out-of-range index): zero-filling missing edges would silently model them
-// as uncontended. This is the general form behind the per-level
-// SetLinkStreams wrapper.
+// that edge uncapped; passing nil reverts every edge. A mis-sized slice
+// panics (a programming error, like an out-of-range index): zero-filling
+// missing edges would silently model them as uncontended. This is the
+// general form behind the per-level SetLinkStreams wrapper.
 func (m *Machine) SetEdgeStreams(counts []int) {
 	if m.fabricGraph == nil {
 		panic("numasim: SetEdgeStreams on a single-machine topology (no fabric)")
@@ -514,13 +463,11 @@ func (m *Machine) SetEdgeStreams(counts []int) {
 // level (level 0: cluster node i's NIC; level 1: rack i's uplink; level 2:
 // pod i's uplink). The per-level form is a wrapper over the per-edge storage
 // of SetEdgeStreams — the level's links map onto fabric-graph edge ids, so
-// the declaration prices identically through the per-edge path. While a
-// level's counts are set they take precedence over the global model at that
-// level; passing nil reverts the level to whatever SetFabricStreams last
-// declared. A mis-sized slice panics (a programming error, like an
-// out-of-range index): zero-filling missing links would silently model them
-// as uncontended. Shaped (torus/dragonfly) fabrics have no levels — declare
-// per-edge counts there.
+// the declaration prices identically through the per-edge path. Passing nil
+// reverts the level's links to uncapped. A mis-sized slice panics (a
+// programming error, like an out-of-range index): zero-filling missing
+// links would silently model them as uncontended. Shaped (torus/dragonfly)
+// fabrics have no levels — declare per-edge counts there.
 func (m *Machine) SetLinkStreams(level int, counts []int) {
 	if level < 0 || level >= len(m.fabricLevels) {
 		panic(fmt.Sprintf("numasim: SetLinkStreams level %d on a %d-level fabric", level, len(m.fabricLevels)))
@@ -559,67 +506,31 @@ func (m *Machine) copyEdgeStreamsLocked() []int {
 }
 
 // EdgeStreams returns the declared crossing-stream count of fabric-graph
-// edge e, falling back to the global fabric-stream count while the edge's
-// count is unset.
+// edge e, 0 (uncapped) while the edge's count is unset.
 func (m *Machine) EdgeStreams(e int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.edgeStreams == nil || m.edgeStreams[e] < 0 {
-		return m.fabricStreams
-	}
-	return m.edgeStreams[e]
+	return edgeStreamCount(m.edgeStreams, e)
 }
 
 // LinkStreams returns the declared crossing-stream count of link i at the
-// given tree-fabric level, falling back to the global fabric-stream count
-// while the link's per-edge count is unset.
+// given tree-fabric level, 0 (uncapped) while the link's per-edge count is
+// unset.
 func (m *Machine) LinkStreams(level, i int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if level >= len(m.levelEdge) || m.edgeStreams == nil {
-		return m.fabricStreams
+	if level >= len(m.levelEdge) {
+		return 0
 	}
-	if s := m.edgeStreams[m.levelEdge[level][i]]; s >= 0 {
-		return s
-	}
-	return m.fabricStreams
-}
-
-// SetFabricLinkStreams declares the per-link fabric contention of the NIC
-// and rack-uplink levels: nic[c] is the number of crossing streams touching
-// cluster node c's NIC link, uplink[r] the number of streams leaving rack r
-// over its uplink (ignored on a single-switch fabric; may be nil there).
-// Passing a nil nic slice reverts every level to the global model.
-//
-// Deprecated: use SetLinkStreams, which addresses any fabric depth — this
-// wrapper cannot declare pod-uplink counts.
-func (m *Machine) SetFabricLinkStreams(nic, uplink []int) {
-	if nic == nil {
-		m.mu.Lock()
-		m.edgeStreams = nil
-		m.mu.Unlock()
-		return
-	}
-	if nodes := len(m.topo.ClusterNodes()); len(nic) != nodes {
-		panic(fmt.Sprintf("numasim: SetFabricLinkStreams got %d NIC counts for %d cluster nodes", len(nic), nodes))
-	}
-	if racks := len(m.topo.Racks()); racks > 0 && len(uplink) != racks {
-		panic(fmt.Sprintf("numasim: SetFabricLinkStreams got %d uplink counts for %d racks", len(uplink), racks))
-	}
-	m.SetLinkStreams(0, nic)
-	if len(m.topo.Racks()) > 0 {
-		m.SetLinkStreams(1, uplink)
-	}
+	return edgeStreamCount(m.edgeStreams, m.levelEdge[level][i])
 }
 
 // NICStreams returns the declared crossing-stream count of cluster node c's
-// NIC link, falling back to the global fabric-stream count when no per-link
-// counts are set.
+// NIC link, 0 (uncapped) when none is set.
 func (m *Machine) NICStreams(c int) int { return m.LinkStreams(0, c) }
 
 // UplinkStreams returns the declared crossing-stream count of rack r's
-// uplink, falling back to the global fabric-stream count when no per-link
-// counts are set (and 0 on a single-switch fabric).
+// uplink, 0 (uncapped) when none is set or on a single-switch fabric.
 func (m *Machine) UplinkStreams(r int) int {
 	if len(m.fabricLevels) < 2 {
 		return 0
@@ -722,17 +633,16 @@ func (m *Machine) fabricLatencyCyclesWalk(fromC, toC int) float64 {
 // fabricBandwidth returns the bytes/second a stream between two distinct
 // cluster nodes can sustain: the bottleneck over the edges of its routed
 // path, each edge's bandwidth shared among the streams declared to cross it
-// (per-edge counts from SetEdgeStreams or the SetLinkStreams wrapper), or
-// among all crossing streams under the global fallback count
-// (SetFabricStreams). The stream-count state is passed in by the caller —
-// effectiveBandwidth snapshots it under the machine lock it already holds,
-// so the hot path takes the lock once. On tree fabrics the path includes,
+// (per-edge counts from SetEdgeStreams or the SetLinkStreams wrapper; an
+// edge without a count is uncapped). The stream-count state is passed in by
+// the caller — effectiveBandwidth snapshots it under the machine lock it
+// already holds, so the hot path takes the lock once. On tree fabrics the path includes,
 // at every fabric level where the endpoints' groups differ, both endpoint
 // links of that level, read from the flattened fabricLinkBW table and
 // addressed into the per-edge stream storage through levelEdge — the same
 // arithmetic the per-level model used. Shaped fabrics bottleneck over the
 // routed PathEdges.
-func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) float64 {
+func (m *Machine) fabricBandwidth(fromC, toC int, streams []int) float64 {
 	bw := math.Inf(1)
 	if len(m.fabricLevels) == 0 {
 		for _, e := range m.RoutedPathEdges(fromC, toC) {
@@ -740,7 +650,7 @@ func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) flo
 			if m.edgeFaultFactor != nil {
 				ebw *= m.edgeFaultFactor[e]
 			}
-			if b := shareLink(ebw, edgeStreamCount(streams, e, global)); b < bw {
+			if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
 				bw = b
 			}
 		}
@@ -754,7 +664,7 @@ func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) flo
 			if m.edgeFaultFactor != nil {
 				lbw *= m.edgeFaultFactor[m.levelEdge[l][g]]
 			}
-			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g], global)); b < bw {
+			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g])); b < bw {
 				bw = b
 			}
 		}
@@ -765,7 +675,7 @@ func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) flo
 // fabricBandwidthWalk is the reference implementation of fabricBandwidth,
 // reading the link attributes off the topology objects (or the graph's
 // uncached Route) per call. Kept (unexported) for the cache-equality test.
-func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int) float64 {
+func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int) float64 {
 	bw := math.Inf(1)
 	if len(m.fabricLevels) == 0 {
 		edges := m.fabricGraph.Edges()
@@ -774,7 +684,7 @@ func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int)
 			if m.edgeFaultFactor != nil {
 				ebw *= m.edgeFaultFactor[e]
 			}
-			if b := shareLink(ebw, edgeStreamCount(streams, e, global)); b < bw {
+			if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
 				bw = b
 			}
 		}
@@ -790,7 +700,7 @@ func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int)
 			if m.edgeFaultFactor != nil {
 				lbw *= m.edgeFaultFactor[m.levelEdge[l][g]]
 			}
-			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g], global)); b < bw {
+			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g])); b < bw {
 				bw = b
 			}
 		}
@@ -799,11 +709,10 @@ func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int)
 }
 
 // edgeStreamCount returns the contention degree of one fabric edge: its
-// per-edge count when declared (non-negative), the global fallback
-// otherwise.
-func edgeStreamCount(streams []int, e, global int) int {
+// per-edge count when declared (non-negative), 0 (uncapped) otherwise.
+func edgeStreamCount(streams []int, e int) int {
 	if streams == nil || streams[e] < 0 {
-		return global
+		return 0
 	}
 	return streams[e]
 }
@@ -831,14 +740,14 @@ func (m *Machine) effectiveBandwidth(pu, node int) float64 {
 	// Snapshot the fabric stream state in the same critical section; the
 	// slices are replaced wholesale, never mutated in place, so reading the
 	// snapshot outside the lock is safe.
-	streams, global := m.edgeStreams, m.fabricStreams
+	streams := m.edgeStreams
 	m.mu.Unlock()
 	bw := nodeObj.Attr.BandwidthBytesPerSec / float64(acc)
 	if m.nodeOf[pu] == node {
 		return bw
 	}
 	if m.cnodeOf[pu] != m.cnodeOfNUMA[node] {
-		if link := m.fabricBandwidth(m.cnodeOf[pu], m.cnodeOfNUMA[node], streams, global); link < bw {
+		if link := m.fabricBandwidth(m.cnodeOf[pu], m.cnodeOfNUMA[node], streams); link < bw {
 			bw = link
 		}
 		return bw

@@ -7,46 +7,34 @@ import (
 )
 
 // TestPlatformUnevenRacks is the regression test for the uneven-fabric
-// rejection: ClusterFromSpec used to parse "rack:2 node:2,3 ..." and then
-// refuse it with "uneven fabric level not supported"; the platform path
-// must build a working simulation machine from it.
+// rejection: an earlier cluster builder parsed "rack:2 node:2,3 ..." and
+// then refused it with "uneven fabric level not supported"; the platform
+// path must build a working simulation machine from it.
 func TestPlatformUnevenRacks(t *testing.T) {
-	for _, build := range []struct {
-		name string
-		make func() (*Platform, error)
-	}{
-		{"NewPlatform", func() (*Platform, error) {
-			return NewPlatform("rack:2 node:2,3 pack:1 core:4", Config{})
-		}},
-		{"ClusterFromSpec", func() (*Platform, error) {
-			return ClusterFromSpec("rack:2 node:2,3 pack:1 core:4", Fabric{}, Config{})
-		}},
-	} {
-		p, err := build.make()
-		if err != nil {
-			t.Fatalf("%s: uneven racks rejected: %v", build.name, err)
+	p, err := NewPlatform("rack:2 node:2,3 pack:1 core:4", Config{})
+	if err != nil {
+		t.Fatalf("uneven racks rejected: %v", err)
+	}
+	if p.Nodes() != 5 {
+		t.Fatalf("%d nodes, want 5", p.Nodes())
+	}
+	mach := p.Machine()
+	if got := mach.Topology().NumRacks(); got != 2 {
+		t.Fatalf("%d racks, want 2", got)
+	}
+	// Rack 0 holds nodes 0-1, rack 1 holds nodes 2-4.
+	wantRack := []int{0, 0, 1, 1, 1}
+	for c, want := range wantRack {
+		if got := mach.RackOfClusterNode(c); got != want {
+			t.Errorf("node %d in rack %d, want %d", c, got, want)
 		}
-		if p.Nodes() != 5 {
-			t.Fatalf("%s: %d nodes, want 5", build.name, p.Nodes())
-		}
-		mach := p.Machine()
-		if got := mach.Topology().NumRacks(); got != 2 {
-			t.Fatalf("%s: %d racks, want 2", build.name, got)
-		}
-		// Rack 0 holds nodes 0-1, rack 1 holds nodes 2-4.
-		wantRack := []int{0, 0, 1, 1, 1}
-		for c, want := range wantRack {
-			if got := mach.RackOfClusterNode(c); got != want {
-				t.Errorf("%s: node %d in rack %d, want %d", build.name, c, got, want)
-			}
-		}
-		// The fabric prices: same-rack transfers cost two NIC links, cross-
-		// rack transfers add the uplinks.
-		sameRack := mach.TransferCost(0, 4, 1024)   // node 0 -> node 1
-		crossRack := mach.TransferCost(0, 12, 1024) // node 0 -> node 3
-		if !(sameRack > 0 && crossRack > sameRack) {
-			t.Errorf("%s: fabric pricing: same-rack %.0f, cross-rack %.0f", build.name, sameRack, crossRack)
-		}
+	}
+	// The fabric prices: same-rack transfers cost two NIC links, cross-
+	// rack transfers add the uplinks.
+	sameRack := mach.TransferCost(0, 4, 1024)   // node 0 -> node 1
+	crossRack := mach.TransferCost(0, 12, 1024) // node 0 -> node 3
+	if !(sameRack > 0 && crossRack > sameRack) {
+		t.Errorf("fabric pricing: same-rack %.0f, cross-rack %.0f", sameRack, crossRack)
 	}
 }
 
@@ -67,146 +55,6 @@ func TestPlatformHeterogeneousMembers(t *testing.T) {
 	// Member machines expose their own shared-memory views.
 	if got := p.Node(1).Topology().NumCores(); got != 4 {
 		t.Errorf("member 1 view has %d cores, want 4", got)
-	}
-}
-
-func TestNewClusterWrapperMatchesPlatform(t *testing.T) {
-	viaWrapper, err := NewCluster(4, "pack:1 core:4", Fabric{Racks: 2}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := NewPlatform("rack:2 node:2 pack:1 core:4", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaWrapper.Machine().Topology().Spec() != viaSpec.Machine().Topology().Spec() {
-		t.Errorf("wrapper spec %q != platform spec %q",
-			viaWrapper.Machine().Topology().Spec(), viaSpec.Machine().Topology().Spec())
-	}
-	// Identical pricing on an identical sample path.
-	for _, pu := range []int{4, 8, 12} {
-		w := viaWrapper.Machine().TransferCost(0, pu, 4096)
-		s := viaSpec.Machine().TransferCost(0, pu, 4096)
-		if w != s {
-			t.Errorf("TransferCost(0,%d) wrapper %.2f != platform %.2f", pu, w, s)
-		}
-	}
-}
-
-// equivalencePlatforms builds the three fabric depths the stream-count
-// equivalence tests sweep: flat (NICs only), racked (+ ToR uplinks), and
-// pod-tiered (+ pod uplinks).
-func equivalencePlatforms(t *testing.T) map[string]*Platform {
-	t.Helper()
-	out := map[string]*Platform{}
-	for name, spec := range map[string]string{
-		"flat":   "cluster:4 pack:1 core:4",
-		"racked": "rack:2 node:2 pack:1 core:4",
-		"pod":    "pod:2 rack:2 node:2 pack:1 core:4",
-	} {
-		p, err := NewPlatform(spec, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = p
-	}
-	return out
-}
-
-// samplePaths lists PU pairs covering every hop-path shape of a platform:
-// same node, same rack, same pod, and the full fabric climb.
-func samplePaths(m *Machine) [][2]int {
-	pus := m.Topology().NumPUs()
-	paths := [][2]int{{0, 1}}
-	for _, to := range []int{pus / 4, pus / 2, pus - 1} {
-		paths = append(paths, [2]int{0, to}, [2]int{to, 0})
-	}
-	return paths
-}
-
-// TestSetFabricStreamsEquivalence pins that the deprecated machine-wide
-// SetFabricStreams(n) prices every transfer identically to SetLinkStreams
-// with uniform per-level count vectors of n, on flat, racked and pod
-// fabrics.
-func TestSetFabricStreamsEquivalence(t *testing.T) {
-	for name, p := range equivalencePlatforms(t) {
-		mach := p.Machine()
-		for _, n := range []int{0, 1, 3, 7} {
-			mach.ResetAccessors()
-			mach.SetFabricStreams(n)
-			var want []float64
-			for _, pr := range samplePaths(mach) {
-				want = append(want, mach.TransferCost(pr[0], pr[1], 1<<20))
-			}
-			mach.ResetAccessors()
-			for l := 0; l < mach.NumFabricLevels(); l++ {
-				counts := make([]int, mach.FabricLevelSize(l))
-				for i := range counts {
-					counts[i] = n
-				}
-				mach.SetLinkStreams(l, counts)
-			}
-			for i, pr := range samplePaths(mach) {
-				if got := mach.TransferCost(pr[0], pr[1], 1<<20); got != want[i] {
-					t.Errorf("%s n=%d path %v: per-level %.2f != global %.2f", name, n, pr, got, want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSetFabricLinkStreamsEquivalence pins that the deprecated two-level
-// SetFabricLinkStreams(nic, uplink) wrapper prices every transfer
-// identically to the per-level SetLinkStreams vectors it stands for, on
-// flat, racked and pod fabrics.
-func TestSetFabricLinkStreamsEquivalence(t *testing.T) {
-	for name, p := range equivalencePlatforms(t) {
-		mach := p.Machine()
-		nodes := len(mach.Topology().ClusterNodes())
-		racks := len(mach.Topology().Racks())
-		nic := make([]int, nodes)
-		for i := range nic {
-			nic[i] = 2 + i%3
-		}
-		var uplink []int
-		if racks > 0 {
-			uplink = make([]int, racks)
-			for i := range uplink {
-				uplink[i] = 4 + i
-			}
-		}
-		mach.ResetAccessors()
-		mach.SetFabricLinkStreams(nic, uplink)
-		var want []float64
-		for _, pr := range samplePaths(mach) {
-			want = append(want, mach.TransferCost(pr[0], pr[1], 1<<20))
-		}
-		mach.ResetAccessors()
-		mach.SetLinkStreams(0, nic)
-		if racks > 0 {
-			mach.SetLinkStreams(1, uplink)
-		}
-		for i, pr := range samplePaths(mach) {
-			if got := mach.TransferCost(pr[0], pr[1], 1<<20); got != want[i] {
-				t.Errorf("%s path %v: per-level %.2f != wrapper %.2f", name, pr, got, want[i])
-			}
-		}
-		// The accessors agree too.
-		for c := 0; c < nodes; c++ {
-			if got := mach.NICStreams(c); got != nic[c] {
-				t.Errorf("%s: NICStreams(%d) = %d, want %d", name, c, got, nic[c])
-			}
-		}
-		for r := 0; r < racks; r++ {
-			if got := mach.UplinkStreams(r); got != uplink[r] {
-				t.Errorf("%s: UplinkStreams(%d) = %d, want %d", name, r, got, uplink[r])
-			}
-		}
-		// Clearing through the wrapper reverts to the global model.
-		mach.SetFabricLinkStreams(nil, nil)
-		if got := mach.FabricStreams(); got != 0 {
-			t.Errorf("%s: FabricStreams after clear = %d", name, got)
-		}
 	}
 }
 
@@ -294,38 +142,37 @@ func TestPlatformFusedSpecRoundTrips(t *testing.T) {
 	}
 }
 
-// TestClusterFromSpecRejectsImposedRacksOnHetero pins the legacy-path
-// guard: Fabric.Racks cannot restructure a heterogeneous member list
-// (rebuilding from member 0 would silently homogenize the platform).
-func TestClusterFromSpecRejectsImposedRacksOnHetero(t *testing.T) {
-	_, err := ClusterFromSpec("node:{pack:2 core:8 | pack:1 core:4}", Fabric{Racks: 2}, Config{})
-	if err == nil {
-		t.Fatal("imposed rack tier on heterogeneous members accepted")
-	}
-	// With the rack tier in the spec itself, heterogeneous members build.
-	if _, err := ClusterFromSpec("rack:2 node:{pack:2 core:8 | pack:1 core:4}", Fabric{}, Config{}); err != nil {
-		t.Fatalf("rack tier in spec rejected: %v", err)
-	}
-}
-
-// TestFabricStreamsPartialLevels pins that the global fallback count stays
-// visible while any fabric level still prices against it.
+// TestFabricStreamsPartialLevels pins that per-level declarations are
+// independent: with only the rack uplinks declared, transfers that stay
+// inside a rack price as uncapped, and only rack-crossing transfers feel the
+// uplink counts.
 func TestFabricStreamsPartialLevels(t *testing.T) {
 	p, err := NewPlatform("pod:2 rack:2 node:2 pack:1 core:2", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := p.Machine()
-	mach.SetFabricStreams(8)
+	const bytes = 1 << 22
+	// PUs per node: 2. Node 0 PUs 0-1; node 1 PUs 2-3 (same rack); node 2
+	// PUs 4-5 (same pod, other rack).
+	sameRack := mach.TransferCost(0, 2, bytes)
+	crossRack := mach.TransferCost(0, 4, bytes)
 	uplink := make([]int, mach.FabricLevelSize(1))
+	for i := range uplink {
+		uplink[i] = 64
+	}
 	mach.SetLinkStreams(1, uplink)
-	if got := mach.FabricStreams(); got != 8 {
-		t.Errorf("FabricStreams with levels 0 and 2 unset = %d, want 8 (still in force)", got)
+	if got := mach.TransferCost(0, 2, bytes); got != sameRack {
+		t.Errorf("same-rack transfer with only uplinks declared = %.0f, want the uncapped %.0f", got, sameRack)
 	}
-	for l := 0; l < mach.NumFabricLevels(); l++ {
-		mach.SetLinkStreams(l, make([]int, mach.FabricLevelSize(l)))
+	if got := mach.TransferCost(0, 4, bytes); got <= crossRack {
+		t.Errorf("cross-rack transfer over 64-stream uplinks = %.0f, want above the uncapped %.0f", got, crossRack)
 	}
-	if got := mach.FabricStreams(); got != 0 {
-		t.Errorf("FabricStreams with every level set = %d, want 0", got)
+	for _, l := range []int{0, 2} {
+		for i := 0; i < mach.FabricLevelSize(l); i++ {
+			if got := mach.LinkStreams(l, i); got != 0 {
+				t.Errorf("undeclared level %d link %d reports %d streams, want 0", l, i, got)
+			}
+		}
 	}
 }

@@ -1,23 +1,22 @@
 package numasim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/topology"
 )
 
 // rackCluster builds 2 racks × 2 nodes of 4 cores for the fabric tests.
-func rackCluster(t *testing.T) *Cluster {
+func rackCluster(t *testing.T) *Platform {
 	t.Helper()
-	c, err := NewCluster(4, "pack:1 core:4 pu:1", Fabric{Racks: 2}, Config{})
+	c, err := NewPlatform("rack:2 node:2 pack:1 core:4 pu:1", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-func TestNewClusterRacks(t *testing.T) {
+func TestPlatformRacks(t *testing.T) {
 	c := rackCluster(t)
 	if got := c.Racks(); got != 2 {
 		t.Fatalf("Racks = %d, want 2", got)
@@ -36,26 +35,6 @@ func TestNewClusterRacks(t *testing.T) {
 	}
 	if !c.Machine().SameRack(2, 3) {
 		t.Error("nodes 2 and 3 must share rack 1")
-	}
-}
-
-func TestNewClusterRacksIndivisible(t *testing.T) {
-	_, err := NewCluster(3, "core:4", Fabric{Racks: 2}, Config{})
-	if err == nil || !strings.Contains(err.Error(), "not divisible across") {
-		t.Fatalf("indivisible rack split accepted: %v", err)
-	}
-}
-
-func TestClusterFromSpecRackTier(t *testing.T) {
-	c, err := ClusterFromSpec("rack:2 node:2 pack:1 core:4", Fabric{}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Racks() != 2 || c.Nodes() != 4 {
-		t.Fatalf("shape: %d racks, %d nodes", c.Racks(), c.Nodes())
-	}
-	if got := c.Fabric().Racks; got != 2 {
-		t.Errorf("Fabric().Racks = %d, want 2", got)
 	}
 }
 
@@ -85,7 +64,7 @@ func TestFabricHopPathPricing(t *testing.T) {
 
 	// A flat 4-node cluster prices the same node pair like the intra-rack
 	// path: racks only add cost where a rack boundary is crossed.
-	flat, err := NewCluster(4, "pack:1 core:4 pu:1", Fabric{}, Config{})
+	flat, err := NewPlatform("cluster:4 pack:1 core:4 pu:1", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +86,8 @@ func TestPerLinkFabricContention(t *testing.T) {
 	free := m.TransferCost(0, perNode, bytes)
 
 	// 8 streams all hitting node 1's NIC; nodes 0/2/3 uncontended.
-	m.SetFabricLinkStreams([]int{1, 8, 1, 1}, []int{1, 1})
+	m.SetLinkStreams(0, []int{1, 8, 1, 1})
+	m.SetLinkStreams(1, []int{1, 1})
 	hot := m.TransferCost(0, perNode, bytes)            // into the hot NIC
 	cold := m.TransferCost(2*perNode, 3*perNode, bytes) // rack 1, both NICs cold
 	if hot <= free {
@@ -118,7 +98,8 @@ func TestPerLinkFabricContention(t *testing.T) {
 	}
 
 	// Uplink contention throttles only rack-crossing transfers.
-	m.SetFabricLinkStreams([]int{1, 1, 1, 1}, []int{8, 8})
+	m.SetLinkStreams(0, []int{1, 1, 1, 1})
+	m.SetLinkStreams(1, []int{8, 8})
 	intra := m.TransferCost(0, perNode, bytes)
 	cross := m.TransferCost(0, 2*perNode, bytes)
 	if intra != free {
@@ -129,66 +110,38 @@ func TestPerLinkFabricContention(t *testing.T) {
 		t.Errorf("cross-rack transfer under uplink contention = %.0f, want above %.0f", cross, crossFree)
 	}
 
-	// Reverting to the global model restores uniform sharing.
-	m.SetFabricLinkStreams(nil, nil)
-	if got := m.TransferCost(0, perNode, bytes); got != free {
-		t.Errorf("after reset transfer = %.0f, want %.0f", got, free)
-	}
-}
-
-// TestGlobalFabricStreamsEquivalence: on any fabric, the legacy global model
-// must equal uniform per-link counts — SetFabricStreams(n) and
-// SetFabricLinkStreams([n,n,...], [n,n,...]) price every transfer alike.
-func TestGlobalFabricStreamsEquivalence(t *testing.T) {
-	c := rackCluster(t)
-	m := c.Machine()
-	perNode := m.Topology().NumPUs() / 4
-	const bytes = 4 << 20
-	pairs := [][2]int{{0, perNode}, {0, 2 * perNode}, {perNode, 3 * perNode}}
-
-	m.SetFabricStreams(6)
-	global := make([]float64, len(pairs))
-	for i, p := range pairs {
-		global[i] = m.TransferCost(p[0], p[1], bytes)
-	}
-	m.SetFabricLinkStreams([]int{6, 6, 6, 6}, []int{6, 6})
-	for i, p := range pairs {
-		if got := m.TransferCost(p[0], p[1], bytes); got != global[i] {
-			t.Errorf("pair %v: per-link uniform %.0f != global %.0f", p, got, global[i])
-		}
-	}
-	// Getters report the in-force model.
-	if m.FabricStreams() != 0 {
-		t.Errorf("FabricStreams = %d after per-link declaration, want 0", m.FabricStreams())
-	}
-	if m.NICStreams(2) != 6 || m.UplinkStreams(1) != 6 {
-		t.Errorf("per-link getters: nic=%d uplink=%d, want 6/6", m.NICStreams(2), m.UplinkStreams(1))
+	// The per-link getters report the declared counts; ResetAccessors
+	// clears them.
+	if m.NICStreams(2) != 1 || m.UplinkStreams(1) != 8 {
+		t.Errorf("per-link getters: nic=%d uplink=%d, want 1/8", m.NICStreams(2), m.UplinkStreams(1))
 	}
 	m.ResetAccessors()
 	if m.NICStreams(0) != 0 || m.UplinkStreams(0) != 0 {
 		t.Error("ResetAccessors must clear per-link stream counts")
 	}
+	if got := m.TransferCost(0, perNode, bytes); got != free {
+		t.Errorf("after reset transfer = %.0f, want %.0f", got, free)
+	}
 }
 
-// TestFabricLinkStreamsRevert: clearing the per-link counts restores the
-// global model that was last declared — not an uncapped fabric.
+// TestFabricLinkStreamsRevert: clearing a level's per-link counts returns
+// its links to the uncapped fabric, the state before any declaration.
 func TestFabricLinkStreamsRevert(t *testing.T) {
 	c := rackCluster(t)
 	m := c.Machine()
 	perNode := m.Topology().NumPUs() / 4
 	const bytes = 4 << 20
 
-	m.SetFabricStreams(6)
-	global := m.TransferCost(0, perNode, bytes)
-	m.SetFabricLinkStreams([]int{1, 1, 1, 1}, []int{1, 1})
-	if got := m.TransferCost(0, perNode, bytes); got >= global {
-		t.Fatalf("uncontended per-link transfer %.0f not below global-6 %.0f", got, global)
+	free := m.TransferCost(0, perNode, bytes)
+	m.SetLinkStreams(0, []int{6, 6, 6, 6})
+	if got := m.TransferCost(0, perNode, bytes); got <= free {
+		t.Fatalf("transfer over 6-stream NICs %.0f not above uncapped %.0f", got, free)
 	}
-	m.SetFabricLinkStreams(nil, nil)
-	if got := m.FabricStreams(); got != 6 {
-		t.Errorf("FabricStreams after revert = %d, want the declared 6", got)
+	m.SetLinkStreams(0, nil)
+	if got := m.NICStreams(0); got != 0 {
+		t.Errorf("NICStreams after revert = %d, want 0 (uncapped)", got)
 	}
-	if got := m.TransferCost(0, perNode, bytes); got != global {
-		t.Errorf("transfer after revert = %.0f, want the global-model price %.0f", got, global)
+	if got := m.TransferCost(0, perNode, bytes); got != free {
+		t.Errorf("transfer after revert = %.0f, want the uncapped price %.0f", got, free)
 	}
 }

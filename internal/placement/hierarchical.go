@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -23,14 +22,14 @@ import (
 // node's own intra-machine tree from the group's sub-matrix. On a machine
 // without a cluster level it degrades to the plain TreeMatch policy.
 //
-// On a multi-switch fabric (a topology with a rack tier, and optionally a
-// pod tier above) placement is three-level: the aggregated group-to-group
-// matrix is itself matched onto the fabric tree, so groups that exchange
-// heavy residual volume land in the same rack (and pod) and only light
-// traffic crosses the uplinks. On homogeneous platforms the matching is the
-// unconstrained treematch mapping (treematch.MapMatrix); on heterogeneous
-// ones it is the capacity-class-constrained matching
-// (treematch.AssignClassed), because a group sized for an 8-core node can
+// On a multi-switch or shaped fabric (a rack tier, optionally a pod tier
+// above, or a torus/dragonfly) placement is three-level: the aggregated
+// group-to-group matrix is itself matched onto the fabric's routed distance
+// model (treematch.AssignByDistance over the fabric graph's all-pairs
+// latency matrix), so groups that exchange heavy residual volume land close
+// — in the same rack and pod, or adjacent on a torus — and only light
+// traffic crosses the uplinks. On heterogeneous platforms the matching is
+// capacity-class constrained, because a group sized for an 8-core node can
 // only run on an 8-core node. On a flat single-switch fabric every
 // group-to-node assignment prices identically, so the matching is skipped
 // and group g runs on node g, which keeps the result deterministic.
@@ -67,15 +66,6 @@ type Hierarchical struct {
 	// a rack-level failure (a ToR sever, a correlated node kill) can then
 	// take out at most one member of the pair.
 	SpreadDomains bool
-	// TreeFabric restricts the group→node matching to the balanced-tree
-	// model of earlier revisions: shaped (torus/dragonfly) fabrics and
-	// uneven trees — which the balanced FabricTree cannot express — skip
-	// the matching and keep the positional group→node order. This is the
-	// "tree-matched" arm of ablation A13; the default routes such fabrics
-	// through the routed distance model (treematch.AssignByDistance over
-	// the fabric graph's latency matrix, with a space-filling-curve seed on
-	// tori) instead.
-	TreeFabric bool
 	// Workers bounds the worker pool that runs the per-node Algorithm 1
 	// stage: the per-node mappings are independent (each works on its own
 	// sub-matrix against the shared read-only task matrix), so on a
@@ -113,14 +103,10 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	// machine's left-to-right core order.
 	caps := make([]int, nodes)
 	coreBase := make([]int, nodes)
-	hetero := false
 	for i, tree := range nodeTrees {
 		caps[i] = tree.Leaves()
 		if i > 0 {
 			coreBase[i] = coreBase[i-1] + caps[i-1]
-			if caps[i] != caps[0] {
-				hetero = true
-			}
 		}
 	}
 
@@ -136,12 +122,11 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	}
 	// On a torus headed for distance matching, declare the grid to the
 	// partitioner: the space-filling-curve chain candidate joins the
-	// portfolio. The tree-matched arm keeps the unmodified options so its
-	// partition — and everything downstream — reproduces the balanced-tree
-	// revisions exactly.
+	// portfolio. The fabric-blind arm keeps the unmodified options, since no
+	// matching will place the curve's chain onto the grid.
 	shape := topo.FabricShape()
 	partOpts := p.Options
-	if shape != nil && shape.Kind == "torus" && !p.TreeFabric && !p.NoFabricMatch {
+	if shape != nil && shape.Kind == "torus" && !p.NoFabricMatch {
 		partOpts.SFCDims = shape.Dims
 	}
 	groups, groupMatrix, err := treematch.PartitionAcrossWeightedMatrix(m, partCaps, partOpts)
@@ -150,47 +135,25 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	}
 
 	// Level 2 (multi-switch and shaped fabrics): match the aggregated group
-	// matrix onto the fabric, so groups with heavy residual traffic land
-	// close in the fabric's distance model. Balanced trees keep the
-	// established FabricTree matching, bit-stable with earlier revisions
-	// (groups with heavy residual traffic share a rack, and a pod). Shaped
-	// (torus/dragonfly) fabrics and uneven trees — which admit no balanced
-	// abstract tree and were previously skipped — now match through the
-	// routed distance model, with a space-filling-curve seed on tori;
-	// TreeFabric restores the old skip. On a flat single-switch fabric
-	// every group→node assignment prices identically, so the matching is
-	// skipped and the identity keeps A9 and older results bit-stable.
+	// matrix onto the fabric's routed distance model, so groups with heavy
+	// residual traffic land close (in the same rack and pod, or adjacent on
+	// a torus). On a flat single-switch fabric every group→node assignment
+	// prices identically, so the matching is skipped and the identity keeps
+	// A9 and older results bit-stable.
 	nodeOf := make([]int, len(groups))
 	for g := range nodeOf {
 		nodeOf[g] = g
 	}
 	if !p.NoFabricMatch && (topo.NumRacks() > 1 || topo.NumPods() > 1 || shape != nil) {
-		classed := hetero && !p.CapacityBlind
-		distanceMatch := false
-		if shape != nil {
-			distanceMatch = !p.TreeFabric
-		} else {
-			fabricTree, ferr := treematch.FabricTree(topo)
-			if ferr != nil && !errors.Is(ferr, treematch.ErrUneven) {
-				return nil, fmt.Errorf("placement: hierarchical fabric tree: %w", ferr)
-			}
-			if ferr == nil {
-				assignment, err := matchGroupsToNodes(fabricTree, groupMatrix, partCaps, caps, classed, p.Options)
-				if err != nil {
-					return nil, fmt.Errorf("placement: hierarchical fabric matching: %w", err)
-				}
-				copy(nodeOf, assignment)
-			} else {
-				distanceMatch = !p.TreeFabric
-			}
+		var groupCaps, nodeCaps []int
+		if !p.CapacityBlind {
+			groupCaps, nodeCaps = partCaps, caps
 		}
-		if distanceMatch {
-			assignment, err := matchGroupsByDistance(topo, groupMatrix, partCaps, caps, classed)
-			if err != nil {
-				return nil, fmt.Errorf("placement: hierarchical distance matching: %w", err)
-			}
-			copy(nodeOf, assignment)
+		assignment, err := matchGroupsByDistance(topo, groupMatrix, groupCaps, nodeCaps)
+		if err != nil {
+			return nil, fmt.Errorf("placement: hierarchical fabric matching: %w", err)
 		}
+		copy(nodeOf, assignment)
 	}
 	if p.SpreadDomains && topo.NumRacks() > 1 && topo.FabricGraph() != nil {
 		spreadCriticalPair(mach, topo, groupMatrix, partCaps, nodeOf)
@@ -320,81 +283,59 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	return a, nil
 }
 
-// matchGroupsToNodes decides which cluster node each partition group runs
-// on, given the fabric tree and the aggregated group-to-group matrix. On
-// homogeneous platforms (classed == false) this is the unconstrained
-// treematch mapping; on heterogeneous ones the capacity-class-constrained
-// matching, where group g (sized for capacity groupCaps[g]) may only land
-// on a node of the same capacity.
-func matchGroupsToNodes(fabricTree *treematch.Tree, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, classed bool, opts treematch.Options) ([]int, error) {
-	if classed {
-		classOf := map[int]int{}
-		class := func(capacity int) int {
-			c, ok := classOf[capacity]
-			if !ok {
-				c = len(classOf)
-				classOf[capacity] = c
-			}
-			return c
-		}
-		entityClass := make([]int, len(groupCaps))
-		for g, c := range groupCaps {
-			entityClass[g] = class(c)
-		}
-		leafClass := make([]int, len(nodeCaps))
-		for n, c := range nodeCaps {
-			leafClass[n] = class(c)
-		}
-		return treematch.AssignClassed(fabricTree, groupMatrix, entityClass, leafClass)
-	}
-	// Clustering, not distribution: spreading groups across racks is exactly
-	// what the matching must avoid, so the tree is not restricted.
-	fabricOpts := opts
-	fabricOpts.Distribute = false
-	mp, err := treematch.MapMatrix(fabricTree, groupMatrix, fabricOpts)
-	if err != nil {
-		return nil, err
-	}
-	return mp.Assignment, nil
-}
-
 // matchGroupsByDistance decides which cluster node each partition group runs
 // on through the routed distance model: the fabric graph's all-pairs latency
-// matrix prices every candidate, so shaped (torus/dragonfly) fabrics and
-// uneven trees — which the balanced FabricTree cannot express — get the same
-// traffic-aware group→node matching as balanced fabrics. On a homogeneous
-// torus the space-filling-curve embedding joins as a seed candidate; it wins
-// only when strictly cheaper. Heterogeneous platforms constrain the matching
-// by capacity class, exactly as matchGroupsToNodes does.
-func matchGroupsByDistance(topo *topology.Topology, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, classed bool) ([]int, error) {
+// matrix prices every candidate, so balanced and uneven trees, tori and
+// dragonflies all get the same traffic-aware group→node matching. Group g,
+// sized for capacity groupCaps[g], may only land on a node of the same
+// capacity (nil capacities place no constraint). On a torus without
+// capacity classes the space-filling-curve embedding joins as a seed
+// candidate; it wins only when strictly cheaper.
+func matchGroupsByDistance(topo *topology.Topology, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int) ([]int, error) {
 	dist := topo.FabricGraph().LatencyMatrix()
-	var entityClass, leafClass []int
-	if classed {
-		classOf := map[int]int{}
-		class := func(capacity int) int {
-			c, ok := classOf[capacity]
-			if !ok {
-				c = len(classOf)
-				classOf[capacity] = c
-			}
-			return c
-		}
-		entityClass = make([]int, len(groupCaps))
-		for g, c := range groupCaps {
-			entityClass[g] = class(c)
-		}
-		leafClass = make([]int, len(nodeCaps))
-		for n, c := range nodeCaps {
-			leafClass[n] = class(c)
-		}
-	}
+	entityClass, leafClass := capacityClasses(groupCaps, nodeCaps)
 	var seeds [][]int
-	if shape := topo.FabricShape(); shape != nil && shape.Kind == "torus" && !classed {
+	if shape := topo.FabricShape(); shape != nil && shape.Kind == "torus" && entityClass == nil {
 		if seed, err := treematch.SFCSeed(shape.Dims, groupMatrix); err == nil {
 			seeds = append(seeds, seed)
 		}
 	}
 	return treematch.AssignByDistance(dist, groupMatrix, entityClass, leafClass, seeds...)
+}
+
+// capacityClasses numbers the distinct capacities of the groups and the
+// nodes they are matched onto (first seen, groups first), the class
+// constraint of treematch.AssignByDistance: group g may only land on a node
+// whose capacity equals groupCaps[g]. Homogeneous input — every capacity
+// equal — places no constraint and yields nil classes.
+func capacityClasses(groupCaps, nodeCaps []int) (entityClass, leafClass []int) {
+	homogeneous := true
+	for _, caps := range [][]int{groupCaps, nodeCaps} {
+		for _, c := range caps {
+			homogeneous = homogeneous && c == groupCaps[0]
+		}
+	}
+	if homogeneous {
+		return nil, nil
+	}
+	classOf := map[int]int{}
+	class := func(capacity int) int {
+		c, ok := classOf[capacity]
+		if !ok {
+			c = len(classOf)
+			classOf[capacity] = c
+		}
+		return c
+	}
+	entityClass = make([]int, len(groupCaps))
+	for g, c := range groupCaps {
+		entityClass[g] = class(c)
+	}
+	leafClass = make([]int, len(nodeCaps))
+	for n, c := range nodeCaps {
+		leafClass[n] = class(c)
+	}
+	return entityClass, leafClass
 }
 
 // spreadCriticalPair implements Hierarchical.SpreadDomains: if the two most

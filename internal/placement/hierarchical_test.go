@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/comm"
@@ -10,7 +11,7 @@ import (
 
 func clusterMachine(t *testing.T, nodes int, nodeSpec string) *numasim.Machine {
 	t.Helper()
-	c, err := numasim.NewCluster(nodes, nodeSpec, numasim.Fabric{}, numasim.Config{})
+	c, err := numasim.NewPlatform(fmt.Sprintf("cluster:%d %s", nodes, nodeSpec), numasim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

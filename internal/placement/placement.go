@@ -13,8 +13,8 @@
 // Policies minimize treematch's structural objective — bytes × tree hops
 // over the declared affinity matrix; on clusters, Hierarchical first
 // minimizes the fabric cut in bytes and, on multi-switch fabrics, the
-// rack-crossing residual (see treematch.PartitionAcross and
-// treematch.FabricTree). The policies themselves never handle cycles. The
+// routed-latency-weighted residual (see treematch.PartitionAcross and
+// treematch.AssignByDistance). The policies themselves never handle cycles. The
 // bridge to priced time is the contention derivation applied after a
 // placement is chosen: SetContention declares per-NUMA-node accessor
 // counts, and SetFabricContention the per-link crossing stream counts at

@@ -11,7 +11,7 @@ import (
 // cores per node.
 func rackMachine(t *testing.T) *numasim.Machine {
 	t.Helper()
-	c, err := numasim.NewCluster(4, "pack:1 core:4 pu:1", numasim.Fabric{Racks: 2}, numasim.Config{})
+	c, err := numasim.NewPlatform("rack:2 node:2 pack:1 core:4 pu:1", numasim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestHierarchicalFabricMatch(t *testing.T) {
 // assignment matches the NoFabricMatch variant exactly (A9 results stay
 // bit-stable).
 func TestHierarchicalFlatFabricIdentity(t *testing.T) {
-	c, err := numasim.NewCluster(4, "pack:1 core:4 pu:1", numasim.Fabric{}, numasim.Config{})
+	c, err := numasim.NewPlatform("cluster:4 pack:1 core:4 pu:1", numasim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // These tests pin the routed-distance matching path of Hierarchical: uneven
-// trees (where the balanced FabricTree model refuses to build) and shaped
-// fabrics (torus) route group→node matching through the per-edge distance
-// model, while balanced trees keep the old matcher bit for bit.
+// trees (which admit no balanced abstract tree) and shaped fabrics (torus)
+// match groups to nodes through the per-edge distance model, like every
+// other multi-switch fabric.
 
 // fabricCost prices an assignment's inter-node traffic over the routed
 // fabric graph: volume × path latency for every cross-node pair.
@@ -36,8 +36,8 @@ func fabricCost(mach *numasim.Machine, a *Assignment, m *comm.Matrix) float64 {
 // TestHierarchicalUnevenDepthAware: on the rack:2 node:2,3 platform the
 // balanced-tree matcher cannot build (uneven arity), but the distance model
 // still sees the rack boundary: partner blocks land in the same rack. The
-// TreeFabric variant — restricted to the balanced model — falls back to the
-// identity mapping and splits both pairs across the racks.
+// NoFabricMatch variant keeps the identity mapping and splits both pairs
+// across the racks.
 func TestHierarchicalUnevenDepthAware(t *testing.T) {
 	p, err := numasim.NewPlatform("rack:2 node:2,3 pack:1 core:4", numasim.Config{})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestHierarchicalUnevenDepthAware(t *testing.T) {
 		}
 	}
 
-	tree, err := Hierarchical{TreeFabric: true}.Assign(mach, m)
+	tree, err := Hierarchical{NoFabricMatch: true}.Assign(mach, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,48 +101,17 @@ func TestHierarchicalUnevenDepthAware(t *testing.T) {
 		}
 	}
 	if together == 2 {
-		t.Error("TreeFabric on an uneven fabric kept both partner pairs together; the identity fallback should not see the rack boundary")
+		t.Error("NoFabricMatch on an uneven fabric kept both partner pairs together; the identity mapping should not see the rack boundary")
 	}
 	if ac, tc := fabricCost(mach, aware, m), fabricCost(mach, tree, m); !(ac < tc) {
 		t.Errorf("distance matching cost %.0f not below the identity fallback's %.0f", ac, tc)
 	}
 }
 
-// TestHierarchicalBalancedTreeBitStable: on balanced fabrics the TreeFabric
-// restriction changes nothing — both variants run the original balanced-tree
-// matcher, so A9–A12 results cannot move.
-func TestHierarchicalBalancedTreeBitStable(t *testing.T) {
-	for _, spec := range []string{
-		"rack:2 node:2 pack:1 core:4",
-		"pod:2 rack:2 node:2 pack:1 core:2",
-	} {
-		p, err := numasim.NewPlatform(spec, numasim.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mach := p.Machine()
-		m := pairBlockMatrix(len(mach.Topology().PUs()) / 4)
-		a, err := Hierarchical{}.Assign(mach, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Hierarchical{TreeFabric: true}.Assign(mach, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.TaskPU {
-			if a.TaskPU[i] != b.TaskPU[i] || a.ControlPU[i] != b.ControlPU[i] {
-				t.Fatalf("%s task %d: %d/%d vs %d/%d — balanced fabrics must keep the old matcher bit for bit",
-					spec, i, a.TaskPU[i], a.ControlPU[i], b.TaskPU[i], b.ControlPU[i])
-			}
-		}
-	}
-}
-
 // TestHierarchicalTorusDistanceMatch: on a torus the distance matcher must
 // recover adjacency the identity layout lacks. Blocks (0,3) and (1,2) couple
 // heavily; on the 2x2 torus cells 0 and 3 are diagonal (2 hops), so the
-// identity mapping of the TreeFabric arm pays double the routed latency of
+// identity mapping of the NoFabricMatch arm pays double the routed latency of
 // an adjacency-respecting relabeling.
 func TestHierarchicalTorusDistanceMatch(t *testing.T) {
 	p, err := numasim.NewPlatform("torus:2x2 pack:1 core:4", numasim.Config{})
@@ -169,13 +138,13 @@ func TestHierarchicalTorusDistanceMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Hierarchical{TreeFabric: true}.Assign(mach, m)
+	tree, err := Hierarchical{NoFabricMatch: true}.Assign(mach, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ac, tc := fabricCost(mach, aware, m), fabricCost(mach, tree, m)
 	if !(ac < tc) {
-		t.Errorf("torus distance matching cost %.0f not below the tree-restricted arm's %.0f", ac, tc)
+		t.Errorf("torus distance matching cost %.0f not below the unmatched arm's %.0f", ac, tc)
 	}
 	g := mach.Topology().FabricGraph()
 	for _, pair := range [][2]int{{0, 3}, {1, 2}} {

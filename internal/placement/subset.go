@@ -111,31 +111,7 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 				dist[i][j] = full[ni][nj]
 			}
 		}
-		classed := false
-		for _, c := range caps {
-			if c != caps[0] {
-				classed = true
-				break
-			}
-		}
-		var entityClass, leafClass []int
-		if classed {
-			classOf := map[int]int{}
-			class := func(capacity int) int {
-				c, ok := classOf[capacity]
-				if !ok {
-					c = len(classOf)
-					classOf[capacity] = c
-				}
-				return c
-			}
-			entityClass = make([]int, len(caps))
-			leafClass = make([]int, len(caps))
-			for g, c := range caps {
-				entityClass[g] = class(c)
-				leafClass[g] = class(c)
-			}
-		}
+		entityClass, leafClass := capacityClasses(caps, caps)
 		assignment, err := treematch.AssignByDistance(dist, groupMatrix, entityClass, leafClass)
 		if err != nil {
 			return nil, fmt.Errorf("placement: subset fabric matching: %w", err)

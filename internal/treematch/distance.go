@@ -10,18 +10,21 @@ import (
 // AssignByDistance maps each entity of the matrix onto a distinct leaf,
 // minimizing the distance-weighted communication cost subject to an optional
 // class constraint: entity g may only occupy leaves with leafClass[leaf] ==
-// entityClass[g] (nil classes place no constraint). It is the generalization
-// of the balanced-tree matching to an arbitrary distance model: dist[a][b]
-// is any symmetric leaf-to-leaf distance — routed-path latencies of a torus
-// or dragonfly fabric, per-leaf-depth distances of an uneven tree — where
-// the tree matcher could only count hops in a balanced hierarchy.
+// entityClass[g] (nil classes place no constraint). dist[a][b] is any
+// symmetric leaf-to-leaf distance: routed-path latencies of a tree, torus or
+// dragonfly fabric, or structural hop counts inside one machine. This is the
+// capacity-aware group→node matching of hierarchical placement — a group
+// sized for an 8-core node must land on an 8-core node, and within that
+// constraint groups exchanging heavy residual volume should land close.
 //
 // Each optional seed is a complete candidate assignment (entity → leaf) that
 // enters the portfolio alongside the greedy solution; every candidate is
 // improved by class-preserving pairwise-swap refinement and the cheapest
 // wins (ties towards the earlier candidate, greedy first). When the
-// constrained permutation space is small the exact branch-and-bound
-// tightens the incumbent further, exactly as in AssignClassed.
+// constrained permutation space is small (node counts of practical
+// fabrics) the exact branch-and-bound tightens the incumbent further;
+// beyond classedSearchLimit permutations the refined portfolio solution
+// stands.
 func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds ...[]int) ([]int, error) {
 	p := m.Order()
 	if len(dist) != p {
@@ -207,11 +210,11 @@ func affinityOrder(aff [][]float64, vol []float64) []int {
 }
 
 // refineDistanceSwaps improves an assignment with pairwise swaps between
-// same-class entities, the distance-model analogue of refineClassedSwaps:
-// swap the leaves of e1 and e2 whenever that strictly lowers the
-// distance-weighted cost. The distance between e1 and e2 themselves is
-// swap-invariant under a symmetric model, so only their edges to third
-// parties enter the delta.
+// same-class entities (a bounded Kernighan–Lin pass on the leaf
+// permutation): swap the leaves of e1 and e2 whenever that strictly lowers
+// the distance-weighted cost. Each pass scans all same-class pairs once.
+// The distance between e1 and e2 themselves is swap-invariant under a
+// symmetric model, so only their edges to third parties enter the delta.
 func refineDistanceSwaps(dist [][]float64, aff [][]float64, entityClass, assignment []int) {
 	p := len(assignment)
 	for pass := 0; pass < classedRefinePasses; pass++ {
@@ -250,7 +253,7 @@ func refineDistanceSwaps(dist [][]float64, aff [][]float64, entityClass, assignm
 // DistanceCost returns the distance-weighted communication cost of an
 // assignment under an arbitrary leaf distance model: the sum over all entity
 // pairs of their communication volume multiplied by the distance between
-// their leaves. The distance-model analogue of Cost.
+// their leaves.
 func DistanceCost(dist [][]float64, m *comm.Matrix, assignment []int) float64 {
 	var s float64
 	for i := 0; i < m.Order(); i++ {
@@ -262,3 +265,14 @@ func DistanceCost(dist [][]float64, m *comm.Matrix, assignment []int) float64 {
 	}
 	return s
 }
+
+// classedRefinePasses bounds the swap refinement of every candidate.
+const classedRefinePasses = 8
+
+// classedSearchLimit bounds the constrained permutation space — the
+// product of the per-class factorials — the exact branch-and-bound of
+// AssignByDistance walks; beyond it the refined portfolio solution stands.
+// Two classes of 4 (A11's default shape, 576 permutations) or of 6 (518k)
+// stay under it; two classes of 8 (1.6e9) or a single class of 10 (3.6e6)
+// fall back.
+const classedSearchLimit = 3e6

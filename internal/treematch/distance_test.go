@@ -1,7 +1,8 @@
 package treematch
 
 import (
-	"reflect"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/comm"
@@ -33,11 +34,40 @@ func ringMatrix(t *testing.T, n int) *comm.Matrix {
 	return m
 }
 
-// TestAssignByDistanceMatchesClassedOnTrees pins the bit-stability
-// guarantee: under a tree-derived distance model, the distance matcher and
-// the classed tree matcher produce identical assignments on balanced
-// fabrics, classes present or not.
-func TestAssignByDistanceMatchesClassedOnTrees(t *testing.T) {
+// bruteForceCost returns the minimum distance-weighted cost over every
+// class-preserving permutation of the leaves (nil classes place no
+// constraint), the exact reference for small fabrics.
+func bruteForceCost(dist [][]float64, m *comm.Matrix, classes []int) float64 {
+	n := len(dist)
+	assign := make([]int, n)
+	used := make([]bool, n)
+	best := math.Inf(1)
+	var rec func(e int)
+	rec = func(e int) {
+		if e == n {
+			best = math.Min(best, DistanceCost(dist, m, assign))
+			return
+		}
+		for l := 0; l < n; l++ {
+			if used[l] || (classes != nil && classes[l] != classes[e]) {
+				continue
+			}
+			used[l] = true
+			assign[e] = l
+			rec(e + 1)
+			used[l] = false
+		}
+	}
+	rec(0)
+	return best
+}
+
+// TestAssignByDistanceMatchesBruteForceOnTrees pins optimality on the
+// small balanced fabrics hierarchical placement matches onto: under the
+// routed latency model of a flat, racked and pod-tiered tree, the matcher's
+// cost equals the minimum over all class-preserving permutations, classes
+// present or not.
+func TestAssignByDistanceMatchesBruteForceOnTrees(t *testing.T) {
 	for _, spec := range []string{
 		"cluster:4 pack:1 core:2",
 		"rack:2 node:4 pack:1 core:2",
@@ -47,33 +77,72 @@ func TestAssignByDistanceMatchesClassedOnTrees(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		tree, err := FabricTree(topo)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		n := tree.Leaves()
-		m := ringMatrix(t, n)
+		dist := topo.FabricGraph().LatencyMatrix()
+		n := len(dist)
+		// A dense random affinity: the swap-refined greedy alone misses
+		// the optimum on it, so only the exact search passes.
+		m := comm.Random(n, 0.6, 100, 7)
 		classes := make([]int, n)
 		for i := range classes {
 			classes[i] = i % 2
 		}
 		for _, cl := range [][]int{nil, classes} {
-			zero := cl
-			if zero == nil {
-				zero = make([]int, n)
-			}
-			fromTree, err := AssignClassed(tree, m, zero, zero)
-			if err != nil {
-				t.Fatalf("%s: AssignClassed: %v", spec, err)
-			}
-			fromDist, err := AssignByDistance(treeDistanceMatrix(tree), m, cl, cl)
+			got, err := AssignByDistance(dist, m, cl, cl)
 			if err != nil {
 				t.Fatalf("%s: AssignByDistance: %v", spec, err)
 			}
-			if !reflect.DeepEqual(fromTree, fromDist) {
-				t.Errorf("%s (classes=%v): tree %v != distance %v", spec, cl != nil, fromTree, fromDist)
+			for e, l := range got {
+				if cl != nil && cl[l] != cl[e] {
+					t.Fatalf("%s: entity %d (class %d) on leaf %d (class %d)", spec, e, cl[e], l, cl[l])
+				}
+			}
+			cost, want := DistanceCost(dist, m, got), bruteForceCost(dist, m, cl)
+			if math.Abs(cost-want) > 1e-9*want {
+				t.Errorf("%s (classes=%v): cost %v, brute-force minimum %v", spec, cl != nil, cost, want)
 			}
 		}
+	}
+}
+
+// TestAssignByDistanceClassedTree: under a balanced tree's hop distances
+// (pods of 2 racks of 2 nodes, leaf classes alternating big/small per
+// rack), heavy entity pairs (0,5), (1,4), (2,7), (3,6) land rack-adjacent —
+// which the identity assignment does not deliver — while every entity keeps
+// its class, and mismatched class multisets are rejected.
+func TestAssignByDistanceClassedTree(t *testing.T) {
+	tree, err := NewTree([]int{2, 2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := treeDistanceMatrix(tree)
+	m := comm.New(8)
+	for _, pr := range [][2]int{{0, 5}, {1, 4}, {2, 7}, {3, 6}} {
+		m.AddSym(pr[0], pr[1], 100)
+	}
+	entityClass := []int{0, 1, 0, 1, 0, 1, 0, 1} // group sizes 8,4,8,4,...
+	leafClass := []int{0, 1, 0, 1, 0, 1, 0, 1}
+	a, err := AssignByDistance(dist, m, entityClass, leafClass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, 8)
+	for g, leaf := range a {
+		if leafClass[leaf] != entityClass[g] {
+			t.Errorf("group %d (class %d) on leaf %d (class %d)", g, entityClass[g], leaf, leafClass[leaf])
+		}
+		if seen[leaf] {
+			t.Fatalf("leaf %d assigned twice", leaf)
+		}
+		seen[leaf] = true
+	}
+	// Every heavy pair must share a rack: distance 2 on the [2 2 2] tree.
+	for _, pr := range [][2]int{{0, 5}, {1, 4}, {2, 7}, {3, 6}} {
+		if d := tree.LeafDistance(a[pr[0]], a[pr[1]]); d != 2 {
+			t.Errorf("pair %v at distance %d, want 2 (same rack); assignment %v", pr, d, a)
+		}
+	}
+	if _, err := AssignByDistance(dist, m, []int{0, 0, 0, 0, 0, 0, 0, 0}, leafClass); err == nil {
+		t.Error("mismatched class multisets accepted")
 	}
 }
 
@@ -112,15 +181,16 @@ func TestAssignByDistanceOnTorus(t *testing.T) {
 }
 
 func TestAssignByDistanceUneven(t *testing.T) {
-	// rack:2 node:2,3 — the uneven shape FabricTree refuses (ErrUneven);
-	// the distance model handles it through the routed tree graph. The
-	// heavy pair must land inside one rack, not across the uplink.
+	// rack:2 node:2,3 — uneven, so no balanced abstract tree (ErrUneven)
+	// spans the fabric; the distance model handles it through the routed
+	// tree graph. The heavy pair must land inside one rack, not across the
+	// uplink.
 	topo, err := topology.FromSpec("rack:2 node:2,3 pack:1 core:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FabricTree(topo); err == nil {
-		t.Fatal("FabricTree accepted an uneven fabric; the distance path is untested")
+	if _, err := FromTopology(topo, topology.Cluster); !errors.Is(err, ErrUneven) {
+		t.Fatalf("balanced tree over an uneven fabric: err %v, want ErrUneven", err)
 	}
 	g := topo.FabricGraph()
 	dist := g.LatencyMatrix()

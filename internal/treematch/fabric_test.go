@@ -1,64 +1,10 @@
 package treematch
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/topology"
 )
-
-func TestFabricTree(t *testing.T) {
-	top, err := topology.FromSpec("rack:2 node:3 pack:1 core:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := FabricTree(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.Leaves(); got != 6 {
-		t.Fatalf("fabric tree leaves = %d, want 6 cluster nodes", got)
-	}
-	if got := tree.Arities(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("fabric tree arities = %v, want [2 3]", got)
-	}
-	// Same-rack nodes are closer than rack-crossing pairs.
-	if intra, inter := tree.LeafDistance(0, 1), tree.LeafDistance(0, 3); intra >= inter {
-		t.Errorf("intra-rack distance %d not below cross-rack %d", intra, inter)
-	}
-}
-
-func TestFabricTreeFlatFabric(t *testing.T) {
-	top, err := topology.FromSpec("node:4 pack:1 core:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := FabricTree(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Leaves() != 4 || tree.Depth() != 2 {
-		t.Fatalf("flat fabric tree = %v, want a single 4-ary level", tree)
-	}
-	// On a flat fabric every leaf pair is equidistant: permuting groups
-	// cannot change the modeled cost, which is why Hierarchical skips the
-	// matching there.
-	d := tree.LeafDistance(0, 1)
-	for a := 0; a < 4; a++ {
-		for b := a + 1; b < 4; b++ {
-			if tree.LeafDistance(a, b) != d {
-				t.Fatalf("leaf distance (%d,%d) = %d, want uniform %d", a, b, tree.LeafDistance(a, b), d)
-			}
-		}
-	}
-}
-
-func TestFabricTreeNoCluster(t *testing.T) {
-	if _, err := FabricTree(topology.PaperMachine()); err == nil || !strings.Contains(err.Error(), "no cluster level") {
-		t.Fatalf("single machine accepted: %v", err)
-	}
-}
 
 // TestPartitionAcrossMatrix: the emitted aggregated matrix is the quotient
 // of the affinity matrix over the returned groups.

@@ -318,8 +318,8 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 
 // PartitionAcrossWeightedMatrix runs PartitionAcrossWeighted and
 // additionally emits the aggregated group-to-group matrix, the input of the
-// capacity-constrained group→node matching (AssignClassed) on multi-switch
-// fabrics.
+// capacity-constrained group→node matching (AssignByDistance) on
+// multi-switch fabrics.
 func PartitionAcrossWeightedMatrix(m *comm.Matrix, caps []int, opt Options) ([][]int, *comm.Matrix, error) {
 	groups, err := PartitionAcrossWeighted(m, caps, opt)
 	if err != nil {
@@ -564,9 +564,9 @@ func greedySizedGroupsHeap(m *comm.Matrix, sizes []int) [][]int {
 // PartitionAcrossMatrix runs PartitionAcross and additionally emits the
 // aggregated group-to-group matrix: entry (a,b) is the volume the tasks of
 // group a exchange with those of group b (the diagonal holds intra-group
-// volume). This matrix is what three-level placement treematch-maps onto the
-// fabric tree (FabricTree) to decide which cluster node — and hence which
-// rack — each group lands on.
+// volume). This matrix is what three-level placement matches onto the
+// fabric's distance model (AssignByDistance) to decide which cluster node —
+// and hence which rack — each group lands on.
 func PartitionAcrossMatrix(m *comm.Matrix, k int, opt Options) ([][]int, *comm.Matrix, error) {
 	groups, err := PartitionAcross(m, k, opt)
 	if err != nil {

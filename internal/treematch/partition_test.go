@@ -9,49 +9,29 @@ import (
 	"repro/internal/topology"
 )
 
-func TestNodeSubtree(t *testing.T) {
-	topo, err := topology.FromSpec("node:4 pack:2 core:8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := NodeSubtree(topo, topology.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.Leaves(); got != 16 {
-		t.Fatalf("per-node subtree has %d leaves, want 16", got)
-	}
-	// The subtree must not contain the cluster arity.
-	full, err := FromTopology(topo, topology.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Leaves() != 64 {
-		t.Fatalf("full tree has %d leaves, want 64", full.Leaves())
-	}
-}
-
 func TestNodeSubtreeSingleMachine(t *testing.T) {
+	// A single machine is its own single node.
 	topo, err := topology.FromSpec("pack:2 core:4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := NodeSubtree(topo, topology.Core)
+	trees, err := NodeSubtrees(topo, topology.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.Leaves(); got != 8 {
-		t.Fatalf("single-machine subtree has %d leaves, want 8", got)
+	if len(trees) != 1 || trees[0].Leaves() != 8 {
+		t.Fatalf("single-machine subtrees = %v, want one tree of 8 leaves", trees)
 	}
 }
 
 func TestNodeSubtreeUnevenRejected(t *testing.T) {
+	// A node whose own subtree is uneven is rejected.
 	topo, err := topology.FromSpec("node:2 pack:2 core:4,4,2,4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NodeSubtree(topo, topology.Core); err == nil {
-		t.Fatal("uneven cluster accepted")
+	if _, err := NodeSubtrees(topo, topology.Core); err == nil {
+		t.Fatal("uneven per-node subtree accepted")
 	}
 }
 

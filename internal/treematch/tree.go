@@ -35,10 +35,8 @@ import (
 
 // ErrUneven marks topologies (or subtrees) whose fan-outs differ within a
 // level: TreeMatch's distance model needs a balanced tree, so tree
-// derivation rejects them with an error wrapping this sentinel. Callers
-// that can degrade gracefully (hierarchical placement skipping the fabric
-// matching on an uneven fabric) test for it with errors.Is and propagate
-// everything else.
+// derivation rejects them with an error wrapping this sentinel, which
+// callers can test for with errors.Is.
 var ErrUneven = errors.New("treematch: uneven topology")
 
 // Tree is the abstract topology tree TreeMatch operates on: a balanced tree
@@ -85,7 +83,25 @@ func FromTopology(t *topology.Topology, leaf topology.Kind) (*Tree, error) {
 	if depth < 0 {
 		return nil, fmt.Errorf("treematch: topology has no %v level", leaf)
 	}
-	tree, err := treeBetween(t, 0, depth)
+	var arities []int
+	for d := 0; d < depth; d++ {
+		// TreeMatch's distance model needs a balanced tree: every object of
+		// a level must have the same fan-out. Uneven machines (representable
+		// since the spec grammar grew comma counts) are rejected explicitly —
+		// a first-object arity product that happens to match the leaf count
+		// would otherwise model the wrong locality.
+		a := t.Arity(d)
+		for _, o := range t.Level(d) {
+			if len(o.Children) != a {
+				return nil, fmt.Errorf("%w: %v has %d children, siblings have %d",
+					ErrUneven, o, len(o.Children), a)
+			}
+		}
+		if a > 1 {
+			arities = append(arities, a)
+		}
+	}
+	tree, err := NewTree(arities)
 	if err != nil {
 		return nil, err
 	}
@@ -150,91 +166,6 @@ func subtreeOf(root *topology.Object, toDepth int) (*Tree, error) {
 			arities = append(arities, a)
 		}
 		level = next
-	}
-	return NewTree(arities)
-}
-
-// NodeSubtree derives the abstract balanced tree of one cluster node of a
-// clustered topology: the levels strictly below the cluster level down to
-// the objects of the given leaf kind. All cluster nodes must be identical
-// (the level-wide fan-out check covers every node's subtree). On a topology
-// without a cluster level it is equivalent to FromTopology: the whole
-// machine is the single node. Hierarchical two-level placement maps each
-// node's task group onto this subtree with the ordinary Algorithm 1.
-//
-// Deprecated: use NodeSubtrees, which additionally handles heterogeneous
-// platforms by returning one tree per node.
-func NodeSubtree(t *topology.Topology, leaf topology.Kind) (*Tree, error) {
-	clusterDepth := t.DepthOf(topology.Cluster)
-	if clusterDepth < 0 {
-		return FromTopology(t, leaf)
-	}
-	leafDepth := t.DepthOf(leaf)
-	if leafDepth < 0 {
-		return nil, fmt.Errorf("treematch: topology has no %v level", leaf)
-	}
-	tree, err := treeBetween(t, clusterDepth, leafDepth)
-	if err != nil {
-		return nil, err
-	}
-	nodes := len(t.ClusterNodes())
-	if tree.Leaves()*nodes != len(t.Level(leafDepth)) {
-		return nil, fmt.Errorf("treematch: internal error: %d abstract leaves per node for %d %v objects on %d nodes",
-			tree.Leaves(), len(t.Level(leafDepth)), leaf, nodes)
-	}
-	return tree, nil
-}
-
-// FabricTree derives the abstract balanced tree of the interconnect fabric
-// of a clustered topology: its leaves are the cluster nodes, its internal
-// levels the switch tiers above them (the machine root as the spine, racks
-// as top-of-rack switches). On a flat single-switch fabric the tree has a
-// single level whose arity is the node count — every permutation of leaves
-// prices identically there, which is why hierarchical placement only runs a
-// group→node matching when the fabric has at least two tiers. Mapping the
-// aggregated group-to-group matrix onto this tree (MapMatrix) is the top
-// stage of three-level placement: racks, then nodes, then cores.
-func FabricTree(t *topology.Topology) (*Tree, error) {
-	clusterDepth := t.DepthOf(topology.Cluster)
-	if clusterDepth < 0 {
-		return nil, fmt.Errorf("treematch: topology has no cluster level, so no fabric tree")
-	}
-	tree, err := treeBetween(t, 0, clusterDepth)
-	if err != nil {
-		return nil, err
-	}
-	// treeBetween collapses arity-1 tiers, which only drop factors of 1, so
-	// the leaf count always equals the cluster-node count; the check is a
-	// defensive invariant, mirroring FromTopology and NodeSubtree.
-	if tree.Leaves() != len(t.ClusterNodes()) {
-		return nil, fmt.Errorf("treematch: internal error: fabric tree has %d leaves for %d cluster nodes",
-			tree.Leaves(), len(t.ClusterNodes()))
-	}
-	return tree, nil
-}
-
-// treeBetween builds the abstract tree spanned by the topology levels
-// [fromDepth, toDepth): the fan-outs of those levels become the arities,
-// with arity-1 levels collapsed (they provide no placement choice, and the
-// collapsed levels contribute a factor of 1 to the leaf count).
-func treeBetween(t *topology.Topology, fromDepth, toDepth int) (*Tree, error) {
-	var arities []int
-	for d := fromDepth; d < toDepth; d++ {
-		// TreeMatch's distance model needs a balanced tree: every object of
-		// a level must have the same fan-out. Uneven machines (representable
-		// since the spec grammar grew comma counts) are rejected explicitly —
-		// a first-object arity product that happens to match the leaf count
-		// would otherwise model the wrong locality.
-		a := t.Arity(d)
-		for _, o := range t.Level(d) {
-			if len(o.Children) != a {
-				return nil, fmt.Errorf("%w: %v has %d children, siblings have %d",
-					ErrUneven, o, len(o.Children), a)
-			}
-		}
-		if a > 1 {
-			arities = append(arities, a)
-		}
 	}
 	return NewTree(arities)
 }

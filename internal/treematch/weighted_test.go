@@ -1,6 +1,7 @@
 package treematch
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -160,7 +161,8 @@ func TestNodeSubtrees(t *testing.T) {
 	if trees[0].Leaves() != 16 || trees[1].Leaves() != 4 {
 		t.Errorf("subtree leaves %d/%d, want 16/4", trees[0].Leaves(), trees[1].Leaves())
 	}
-	// Homogeneous clusters still yield identical trees, matching NodeSubtree.
+	// Homogeneous clusters yield one identical tree per node, below the
+	// cluster arity.
 	homTopo, err := topology.FromSpec("node:4 pack:2 core:8")
 	if err != nil {
 		t.Fatal(err)
@@ -169,77 +171,12 @@ func TestNodeSubtrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NodeSubtree(homTopo, topology.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(hom) != 4 {
 		t.Fatalf("%d subtrees, want 4", len(hom))
 	}
 	for i, tr := range hom {
-		if tr.Leaves() != single.Leaves() || tr.Depth() != single.Depth() {
-			t.Errorf("subtree %d = %v, want %v", i, tr, single)
+		if got := tr.Arities(); tr.Leaves() != 16 || !reflect.DeepEqual(got, []int{2, 8}) {
+			t.Errorf("subtree %d arities %v, want [2 8] (16 leaves)", i, got)
 		}
-	}
-	// A single machine is its own single node.
-	oneTopo, err := topology.FromSpec("pack:2 core:4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := NodeSubtrees(oneTopo, topology.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != 1 || one[0].Leaves() != 8 {
-		t.Fatalf("single machine subtrees = %v", one)
-	}
-	// A node whose own subtree is uneven is still rejected.
-	unevenTopo, err := topology.FromSpec("node:2 pack:2 core:4,4,2,4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NodeSubtrees(unevenTopo, topology.Core); err == nil {
-		t.Error("uneven per-node subtree accepted")
-	}
-}
-
-func TestAssignClassed(t *testing.T) {
-	// Fabric tree [2 2 2]: 8 leaves (pods of 2 racks of 2 nodes). Leaf
-	// classes alternate big/small per rack; entity pairs (0,5), (1,4),
-	// (2,7), (3,6) exchange heavy volume and must land rack-adjacent, which
-	// the identity assignment does not deliver.
-	tree, err := NewTree([]int{2, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := comm.New(8)
-	for _, pr := range [][2]int{{0, 5}, {1, 4}, {2, 7}, {3, 6}} {
-		m.AddSym(pr[0], pr[1], 100)
-	}
-	entityClass := []int{0, 1, 0, 1, 0, 1, 0, 1} // group sizes 8,4,8,4,...
-	leafClass := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	a, err := AssignClassed(tree, m, entityClass, leafClass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make([]bool, 8)
-	for g, leaf := range a {
-		if leafClass[leaf] != entityClass[g] {
-			t.Errorf("group %d (class %d) on leaf %d (class %d)", g, entityClass[g], leaf, leafClass[leaf])
-		}
-		if seen[leaf] {
-			t.Fatalf("leaf %d assigned twice", leaf)
-		}
-		seen[leaf] = true
-	}
-	// Every heavy pair must share a rack: distance 2 on the [2 2 2] tree.
-	for _, pr := range [][2]int{{0, 5}, {1, 4}, {2, 7}, {3, 6}} {
-		if d := tree.LeafDistance(a[pr[0]], a[pr[1]]); d != 2 {
-			t.Errorf("pair %v at distance %d, want 2 (same rack); assignment %v", pr, d, a)
-		}
-	}
-	// Mismatched class multisets are rejected.
-	if _, err := AssignClassed(tree, m, []int{0, 0, 0, 0, 0, 0, 0, 0}, leafClass); err == nil {
-		t.Error("mismatched class multisets accepted")
 	}
 }

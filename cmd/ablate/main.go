@@ -44,7 +44,8 @@
 // plus the asserted orderings and their verdicts — and the exit status is
 // non-zero when any asserted ordering is violated. The CI bench-smoke job
 // runs the reduced-shape A8–A12 this way and archives the document as the
-// BENCH artifact.
+// BENCH artifact. -cpuprofile and -memprofile write pprof CPU and heap
+// profiles of the run.
 package main
 
 import (
@@ -57,6 +58,7 @@ import (
 	"strings"
 
 	"repro/internal/experiment"
+	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -83,6 +85,8 @@ func main() {
 		schedQueue   = flag.String("sched-queue", "", "required-tier-full policy for -exp sched: wait or reject (empty = wait)")
 		sched2Prio   = flag.Int("sched2-priorities", 0, "priority-class count of the -exp sched2 stream (0 = experiment default)")
 		sched2Defrag = flag.Float64("sched2-defrag-threshold", 0, "fragmentation weight in [0,1] arming the -exp sched2 full arm's defragmentation (0 = always armed)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile   = flag.String("memprofile", "", "write a heap profile, taken when the run ends, to this file")
 	)
 	flag.Parse()
 
@@ -111,7 +115,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(os.Stdout, cfg, *exp, *jsonF); err != nil {
+	err = profile.Run(*cpuProfile, *memProfile, func() error {
+		return run(os.Stdout, cfg, *exp, *jsonF)
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
 		os.Exit(1)
 	}

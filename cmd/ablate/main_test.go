@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -316,5 +319,40 @@ func TestBuildSched2Overrides(t *testing.T) {
 					sched2Overrides, tc.priorities, tc.threshold)
 			}
 		})
+	}
+}
+
+// TestProfileFlags runs the command body under -cpuprofile/-memprofile the
+// way main does: a bad path fails naming its flag before any ablation runs,
+// and good paths leave both profiles next to the report.
+func TestProfileFlags(t *testing.T) {
+	cfg := experiment.Config{Rows: 1024, Cols: 1024, Iters: 4, Cores: 16, Seed: 42}
+	body := func(buf *bytes.Buffer) func() error {
+		return func() error { return run(buf, cfg, "policies", false) }
+	}
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "missing", "x.prof")
+	for flag, paths := range map[string][2]string{"-cpuprofile": {bad, ""}, "-memprofile": {"", bad}} {
+		var buf bytes.Buffer
+		err := profile.Run(paths[0], paths[1], body(&buf))
+		if err == nil || !strings.HasPrefix(err.Error(), flag+":") {
+			t.Errorf("bad %s path: error %v, want one naming the flag", flag, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("bad %s path: the run went ahead", flag)
+		}
+	}
+	var buf bytes.Buffer
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := profile.Run(cpu, mem, body(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "A1") {
+		t.Errorf("profiled run lost its report:\n%s", buf.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("%s not written: %v", p, err)
+		}
 	}
 }

@@ -22,6 +22,7 @@
 // cell exactly. The phase-2 policies are opt-in: -backfill enables
 // conservative backfill, -preempt priority preemption, and -defrag
 // migration-based defragmentation gated at -defrag-threshold.
+// -cpuprofile and -memprofile write pprof CPU and heap profiles of the run.
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"os"
 
 	"repro/internal/numasim"
+	"repro/internal/profile"
 	"repro/internal/sched"
 )
 
@@ -54,6 +56,8 @@ func main() {
 		defragThr   = flag.Float64("defrag-threshold", 0, "fragmentation weight in [0,1] arming -defrag (0 = always armed)")
 		priorities  = flag.Int("priorities", 0, "priority-class count of generated constrained jobs (0 or 1 = all priority 0; ignored with -workload)")
 		longFrac    = flag.Float64("long-fraction", 0, "fraction of generated jobs with 8x work (heavy tail; ignored with -workload)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile, taken when the run ends, to this file")
 	)
 	flag.Parse()
 
@@ -67,7 +71,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sched: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(os.Stdout, *platform, *workload, stream, opts); err != nil {
+	err = profile.Run(*cpuProfile, *memProfile, func() error {
+		return run(os.Stdout, *platform, *workload, stream, opts)
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "sched: %v\n", err)
 		os.Exit(1)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/profile"
 	"repro/internal/sched"
 )
 
@@ -188,5 +189,45 @@ func TestRunErrors(t *testing.T) {
 				t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestProfileFlags runs the command body under -cpuprofile/-memprofile the
+// way main does: a bad path fails naming its flag before any job runs, and
+// good paths leave both profiles next to an unchanged report.
+func TestProfileFlags(t *testing.T) {
+	stream := sched.StreamConfig{Jobs: 4, Seed: 7, Churn: 4}
+	body := func(buf *bytes.Buffer) func() error {
+		return func() error {
+			return run(buf, "rack:2 node:2 pack:1 core:4 pu:1", "", stream, sched.Options{Policy: sched.TopoAware})
+		}
+	}
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "missing", "x.prof")
+	for flag, paths := range map[string][2]string{"-cpuprofile": {bad, ""}, "-memprofile": {"", bad}} {
+		var buf bytes.Buffer
+		err := profile.Run(paths[0], paths[1], body(&buf))
+		if err == nil || !strings.HasPrefix(err.Error(), flag+":") {
+			t.Errorf("bad %s path: error %v, want one naming the flag", flag, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("bad %s path: the run went ahead", flag)
+		}
+	}
+	var plain, profiled bytes.Buffer
+	if err := body(&plain)(); err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := profile.Run(cpu, mem, body(&profiled)); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != profiled.String() {
+		t.Error("profiling changed the report")
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("%s not written: %v", p, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Stencil2D builds the block-level affinity matrix of a bx×by block grid
@@ -19,14 +20,17 @@ func Stencil2D(bx, by int, edgeVol, cornerVol float64) *Matrix {
 // scale benchmark tier uses — a 100k-task stencil is ~800k nonzeros versus
 // an 80 GB dense matrix.
 func Stencil2DSparse(bx, by int, edgeVol, cornerVol float64) *Matrix {
-	return fillStencil2D(NewSparse(bx*by), bx, by, edgeVol, cornerVol)
+	m := NewSparse(bx * by)
+	m.reserveRows(func(int) int { return 8 }) // at most 8 Moore neighbours
+	return fillStencil2D(m, bx, by, edgeVol, cornerVol)
 }
 
 func fillStencil2D(m *Matrix, bx, by int, edgeVol, cornerVol float64) *Matrix {
 	id := func(x, y int) int { return y*bx + x }
+	m.labels = make([]string, m.n)
 	for y := 0; y < by; y++ {
 		for x := 0; x < bx; x++ {
-			m.SetLabel(id(x, y), fmt.Sprintf("b(%d,%d)", x, y))
+			m.labels[id(x, y)] = "b(" + strconv.Itoa(x) + "," + strconv.Itoa(y) + ")"
 		}
 	}
 	for y := 0; y < by; y++ {
@@ -191,7 +195,14 @@ func Random(n int, density, maxVol float64, seed int64) *Matrix {
 // given seed.
 func RandomSparse(n, degree int, maxVol float64, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
-	m := NewSparse(n)
+	// Draw every edge first so each row's degree, an upper bound on its
+	// distinct partners, can be reserved before any insertion.
+	type edge struct {
+		i, j int
+		vol  float64
+	}
+	edges := make([]edge, 0, n*degree)
+	deg := make([]int, n)
 	for i := 0; i < n; i++ {
 		for d := 0; d < degree; d++ {
 			j := rng.Intn(n)
@@ -199,8 +210,15 @@ func RandomSparse(n, degree int, maxVol float64, seed int64) *Matrix {
 			if j == i {
 				continue
 			}
-			m.AddSym(i, j, vol)
+			edges = append(edges, edge{i, j, vol})
+			deg[i]++
+			deg[j]++
 		}
+	}
+	m := NewSparse(n)
+	m.reserveRows(func(i int) int { return deg[i] })
+	for _, e := range edges {
+		m.AddSym(e.i, e.j, e.vol)
 	}
 	return m
 }

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -170,4 +172,99 @@ func TestFrontierString(t *testing.T) {
 	if Frontier(42).String() == "" {
 		t.Errorf("out-of-range Frontier empty")
 	}
+}
+
+// refStencil2DSparse and refRandomSparse are the generators as first
+// written: rows grown one insertion at a time, labels set through SetLabel.
+func refStencil2DSparse(bx, by int, edgeVol, cornerVol float64) *Matrix {
+	m := NewSparse(bx * by)
+	id := func(x, y int) int { return y*bx + x }
+	for y := 0; y < by; y++ {
+		for x := 0; x < bx; x++ {
+			m.SetLabel(id(x, y), fmt.Sprintf("b(%d,%d)", x, y))
+		}
+	}
+	for y := 0; y < by; y++ {
+		for x := 0; x < bx; x++ {
+			if x+1 < bx {
+				m.AddSym(id(x, y), id(x+1, y), edgeVol)
+			}
+			if y+1 < by {
+				m.AddSym(id(x, y), id(x, y+1), edgeVol)
+				if x+1 < bx {
+					m.AddSym(id(x, y), id(x+1, y+1), cornerVol)
+				}
+				if x-1 >= 0 {
+					m.AddSym(id(x, y), id(x-1, y+1), cornerVol)
+				}
+			}
+		}
+	}
+	return m
+}
+
+func refRandomSparse(n, degree int, maxVol float64, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewSparse(n)
+	for i := 0; i < n; i++ {
+		for d := 0; d < degree; d++ {
+			j := rng.Intn(n)
+			vol := rng.Float64() * maxVol
+			if j == i {
+				continue
+			}
+			m.AddSym(i, j, vol)
+		}
+	}
+	return m
+}
+
+// sameStorage reports whether two sparse matrices store the same entries in
+// the same order and carry the same labels.
+func sameStorage(t *testing.T, name string, got, want *Matrix) {
+	t.Helper()
+	if !got.IsSparse() || !got.Equal(want, 0) {
+		t.Fatalf("%s: entries differ from the reference", name)
+	}
+	for i := range want.rows {
+		g, w := got.rows[i], want.rows[i]
+		if fmt.Sprint(g.cols, g.vals) != fmt.Sprint(w.cols, w.vals) {
+			t.Fatalf("%s: row %d stored as %v %v, reference %v %v", name, i, g.cols, g.vals, w.cols, w.vals)
+		}
+	}
+	if (got.labels == nil) != (want.labels == nil) {
+		t.Fatalf("%s: labels present=%v, reference %v", name, got.labels != nil, want.labels != nil)
+	}
+	for i := 0; i < want.Order(); i++ {
+		if got.Label(i) != want.Label(i) {
+			t.Fatalf("%s: label %d = %q, reference %q", name, i, got.Label(i), want.Label(i))
+		}
+	}
+}
+
+// TestSparseGeneratorsMatchReference: the pre-reserving generators build
+// exactly the rows and labels of the insert-as-you-go originals, and rows
+// that outgrow their reservation do not spill into their neighbours.
+func TestSparseGeneratorsMatchReference(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 5}, {7, 3}, {12, 12}} {
+		bx, by := dims[0], dims[1]
+		sameStorage(t, fmt.Sprintf("stencil %dx%d", bx, by),
+			Stencil2DSparse(bx, by, 64, 8), refStencil2DSparse(bx, by, 64, 8))
+	}
+	for _, c := range []struct {
+		n, degree int
+		seed      int64
+	}{{1, 3, 1}, {2, 4, 2}, {50, 8, 7}, {400, 3, 4242}} {
+		sameStorage(t, fmt.Sprintf("random n=%d d=%d", c.n, c.degree),
+			RandomSparse(c.n, c.degree, 100, c.seed), refRandomSparse(c.n, c.degree, 100, c.seed))
+	}
+	// Grow rows past their reservation: neighbours must stay intact.
+	m, ref := Stencil2DSparse(5, 5, 64, 8), refStencil2DSparse(5, 5, 64, 8)
+	for _, mm := range []*Matrix{m, ref} {
+		for j := 0; j < 25; j++ {
+			mm.Add(12, j, 0.5)
+			mm.Add(j, 12, 0.5)
+		}
+	}
+	sameStorage(t, "stencil grown past reservation", m, ref)
 }

@@ -95,6 +95,25 @@ func NewSparse(n int) *Matrix {
 	return &Matrix{n: n, rows: make([]sparseRow, n)}
 }
 
+// reserveRows gives every row of an empty sparse matrix room for capacity(i)
+// entries, carved from two shared backing arrays, so a generator that knows
+// its row degrees inserts without growing each row one append at a time.
+// Each row's capacity is capped, so a row that outgrows its estimate
+// reallocates on its own instead of overwriting the next row.
+func (m *Matrix) reserveRows(capacity func(i int) int) {
+	total := 0
+	for i := range m.rows {
+		total += capacity(i)
+	}
+	cols, vals := make([]int32, total), make([]float64, total)
+	off := 0
+	for i := range m.rows {
+		c := capacity(i)
+		m.rows[i] = sparseRow{cols: cols[off : off : off+c], vals: vals[off : off : off+c]}
+		off += c
+	}
+}
+
 // IsSparse reports whether the matrix uses the sparse representation.
 func (m *Matrix) IsSparse() bool { return m.rows != nil }
 

@@ -27,6 +27,7 @@ package placement
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/comm"
@@ -354,6 +355,11 @@ func SetContention(mach *numasim.Machine, a *Assignment, heavy []bool) {
 // more bandwidth than ones that funnel them, even at equal total cut. An
 // unbound task on a multi-node machine roams and is counted on every link
 // of every level. A no-op on single-machine topologies.
+//
+// The derivation is one sweep over the stored nonzeros (forEachTrafficPair)
+// that ORs per-task flags onto both endpoints of every communicating pair;
+// the per-task stream decision then reads only those flags. ORs and integer
+// counts do not depend on the order pairs are visited in.
 func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 	nodes := mach.Topology().NumClusterNodes()
 	levels := mach.NumFabricLevels()
@@ -364,31 +370,32 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 		setRoutedFabricContention(mach, a, m)
 		return
 	}
+	n := min(m.Order(), len(a.TaskPU))
+	// Per task: flags[i*stride] is "has traffic", +1 "some endpoint of its
+	// traffic is unbound", +2+l "some bound partner sits in another group at
+	// fabric level l".
+	stride := levels + 2
+	flags := make([]bool, n*stride)
+	forEachTrafficPair(m, n, func(i, j int) {
+		fi, fj := flags[i*stride:(i+1)*stride], flags[j*stride:(j+1)*stride]
+		fi[0], fj[0] = true, true
+		pi, pj := a.TaskPU[i], a.TaskPU[j]
+		if pi < 0 || pj < 0 {
+			fi[1], fj[1] = true, true
+			return
+		}
+		ci, cj := mach.ClusterNodeOfPU(pi), mach.ClusterNodeOfPU(pj)
+		for l := 0; l < levels && mach.FabricGroupOf(l, ci) != mach.FabricGroupOf(l, cj); l++ {
+			fi[2+l], fj[2+l] = true, true
+		}
+	})
 	counts := make([][]int, levels)
 	for l := range counts {
 		counts[l] = make([]int, mach.FabricLevelSize(l))
 	}
-	crossesAt := make([]bool, levels)
-	for i := 0; i < m.Order() && i < len(a.TaskPU); i++ {
-		partnerUnbound, hasTraffic := false, false
-		for l := range crossesAt {
-			crossesAt[l] = false
-		}
-		for j := 0; j < m.Order() && j < len(a.TaskPU); j++ {
-			if i == j || m.At(i, j)+m.At(j, i) == 0 {
-				continue
-			}
-			hasTraffic = true
-			pj := a.TaskPU[j]
-			if a.TaskPU[i] < 0 || pj < 0 {
-				partnerUnbound = true
-				continue
-			}
-			ci, cj := mach.ClusterNodeOfPU(a.TaskPU[i]), mach.ClusterNodeOfPU(pj)
-			for l := 0; l < levels && mach.FabricGroupOf(l, ci) != mach.FabricGroupOf(l, cj); l++ {
-				crossesAt[l] = true
-			}
-		}
+	for i := 0; i < n; i++ {
+		f := flags[i*stride : (i+1)*stride]
+		hasTraffic, partnerUnbound, crossesAt := f[0], f[1], f[2:]
 		switch {
 		case !hasTraffic:
 			// A task that exchanges no volume contributes no stream, bound
@@ -417,6 +424,21 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 	}
 }
 
+// forEachTrafficPair calls fn(i, j) for every pair of distinct tasks below n
+// with m.At(i,j)+m.At(j,i) != 0, at least once per pair and in no particular
+// orientation. Only pairs with a stored nonzero on either side can pass, so
+// it walks the nonzeros and looks up each one's mirror; a pair stored on
+// both sides is reported from both rows. fn must be idempotent.
+func forEachTrafficPair(m *comm.Matrix, n int, fn func(i, j int)) {
+	for i := 0; i < n; i++ {
+		m.ForEachNeighbor(i, func(j int, v float64) {
+			if j != i && j < n && v+m.At(j, i) != 0 {
+				fn(i, j)
+			}
+		})
+	}
+}
+
 // setRoutedFabricContention is the shaped-fabric (torus/dragonfly) arm of
 // SetFabricContention: with no level structure to address links by, streams
 // are counted per routed edge. Every task with cross-node traffic contributes
@@ -424,46 +446,55 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 // a task with an unbound endpoint (its own, or a partner's) may stream over
 // any link and is counted on every edge, the conservative reading of the
 // tree model's roaming rule. A no-op on fabrics without a routed graph.
+//
+// Like the level arm, one sweep over the nonzeros records per task which
+// cluster nodes its bound partners sit on (a bitset); each task's edge set
+// is then the union of its routed paths to those nodes.
 func setRoutedFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 	g := mach.FabricGraph()
 	if g == nil {
 		return
 	}
+	n := min(m.Order(), len(a.TaskPU))
+	words := (mach.Topology().NumClusterNodes() + 63) / 64
+	hasTraffic := make([]bool, n)
+	partnerUnbound := make([]bool, n)
+	partners := make([]uint64, n*words)
+	forEachTrafficPair(m, n, func(i, j int) {
+		hasTraffic[i], hasTraffic[j] = true, true
+		pi, pj := a.TaskPU[i], a.TaskPU[j]
+		if pi < 0 || pj < 0 {
+			partnerUnbound[i], partnerUnbound[j] = true, true
+			return
+		}
+		ci, cj := mach.ClusterNodeOfPU(pi), mach.ClusterNodeOfPU(pj)
+		if ci != cj {
+			partners[i*words+cj/64] |= 1 << (cj % 64)
+			partners[j*words+ci/64] |= 1 << (ci % 64)
+		}
+	})
 	counts := make([]int, g.NumEdges())
-	used := make([]bool, g.NumEdges())
-	for i := 0; i < m.Order() && i < len(a.TaskPU); i++ {
-		partnerUnbound, hasTraffic := false, false
-		for e := range used {
-			used[e] = false
-		}
-		for j := 0; j < m.Order() && j < len(a.TaskPU); j++ {
-			if i == j || m.At(i, j)+m.At(j, i) == 0 {
-				continue
-			}
-			hasTraffic = true
-			pj := a.TaskPU[j]
-			if a.TaskPU[i] < 0 || pj < 0 {
-				partnerUnbound = true
-				continue
-			}
-			ci, cj := mach.ClusterNodeOfPU(a.TaskPU[i]), mach.ClusterNodeOfPU(pj)
-			if ci == cj {
-				continue
-			}
-			for _, e := range mach.RoutedPathEdges(ci, cj) {
-				used[e] = true
-			}
-		}
+	// lastTask[e] is 1 + the last task counted on edge e, so each task
+	// counts an edge once however many of its paths share it.
+	lastTask := make([]int, g.NumEdges())
+	for i := 0; i < n; i++ {
 		switch {
-		case !hasTraffic:
-		case a.TaskPU[i] < 0 || partnerUnbound:
+		case !hasTraffic[i]:
+		case a.TaskPU[i] < 0 || partnerUnbound[i]:
 			for e := range counts {
 				counts[e]++
 			}
 		default:
-			for e, u := range used {
-				if u {
-					counts[e]++
+			ci := mach.ClusterNodeOfPU(a.TaskPU[i])
+			for w, word := range partners[i*words : (i+1)*words] {
+				for ; word != 0; word &= word - 1 {
+					cj := w*64 + bits.TrailingZeros64(word)
+					for _, e := range mach.RoutedPathEdges(ci, cj) {
+						if lastTask[e] != i+1 {
+							lastTask[e] = i + 1
+							counts[e]++
+						}
+					}
 				}
 			}
 		}

@@ -264,6 +264,22 @@ type jobState struct {
 	// resume carries the checkpoint of a preempted job awaiting restart;
 	// nil for jobs that are running fresh.
 	resume *resumeState
+	// matrix is the job's communication matrix, built on the first
+	// placement attempt and shared by every later probe. Placement only
+	// reads it.
+	matrix *comm.Matrix
+}
+
+// commMatrix returns the job's communication matrix, building it once.
+func (j *jobState) commMatrix() (*comm.Matrix, error) {
+	if j.matrix == nil {
+		m, err := j.spec.Matrix()
+		if err != nil {
+			return nil, err
+		}
+		j.matrix = m
+	}
+	return j.matrix, nil
 }
 
 // departure orders the running set by (finish, seq) and carries everything a
@@ -661,7 +677,7 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 		if s.cap.FreeTotal() < spec.Tasks {
 			return nil, true, nil
 		}
-		return s.placeScatter(spec)
+		return s.placeScatter(j)
 	case TopoBlind:
 		tiers, err := s.tierLadder(spec)
 		if err != nil {
@@ -670,7 +686,7 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 		tier := tiers[len(tiers)-1] // required tier (or machine): preferred ignored
 		for d := range s.cap.Domains(tier) {
 			if s.cap.DomainFree(tier, d) >= spec.Tasks {
-				return s.placeSlotOrder(spec, tier, d)
+				return s.placeSlotOrder(j, tier, d)
 			}
 		}
 		return nil, true, nil
@@ -696,7 +712,7 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 				}
 			}
 			if best >= 0 {
-				return s.placeAware(spec, tier, best)
+				return s.placeAware(j, tier, best)
 			}
 		}
 		return nil, true, nil
@@ -706,7 +722,8 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 // placeAware runs the affinity-aware intra-domain layout: choose the fewest
 // nodes (largest free counts first) that hold the job, then delegate to the
 // placement engine restricted to those free slots.
-func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placementResult, bool, error) {
+func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placementResult, bool, error) {
+	spec := j.spec
 	dom := s.cap.Domains(tier)[d]
 	nodes := append([]int(nil), dom.Nodes...)
 	sort.SliceStable(nodes, func(i, j int) bool {
@@ -729,7 +746,7 @@ func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placem
 		got += s.cap.NodeFree(n)
 	}
 	sort.Ints(chosen)
-	m, err := spec.Matrix()
+	m, err := j.commMatrix()
 	if err != nil {
 		return nil, false, err
 	}
@@ -737,32 +754,33 @@ func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placem
 	if err != nil {
 		return nil, false, err
 	}
-	return s.finishPlacement(spec, m, a.TaskPU, tier, d)
+	return s.finishPlacement(m, a.TaskPU, tier, d)
 }
 
 // placeSlotOrder fills the domain's free slots in plain core order — the
 // topology-blind arm's layout.
-func (s *Scheduler) placeSlotOrder(spec JobSpec, tier topology.Kind, d int) (*placementResult, bool, error) {
+func (s *Scheduler) placeSlotOrder(j *jobState, tier topology.Kind, d int) (*placementResult, bool, error) {
 	dom := s.cap.Domains(tier)[d]
 	var slots []int
 	for _, n := range dom.Nodes {
 		slots = append(slots, s.cap.free[n]...)
 	}
 	sort.Ints(slots)
-	return s.placeOnSlots(spec, slots[:spec.Tasks], tier, d)
+	return s.placeOnSlots(j, slots[:j.spec.Tasks], tier, d)
 }
 
 // placeScatter deals the free slots round-robin across cluster nodes — the
 // classic load-balancing baseline that ignores topology entirely.
-func (s *Scheduler) placeScatter(spec JobSpec) (*placementResult, bool, error) {
+func (s *Scheduler) placeScatter(j *jobState) (*placementResult, bool, error) {
+	tasks := j.spec.Tasks
 	var slots []int
-	for depth := 0; len(slots) < spec.Tasks; depth++ {
+	for depth := 0; len(slots) < tasks; depth++ {
 		advanced := false
 		for n := range s.cap.free {
 			if depth < len(s.cap.free[n]) {
 				slots = append(slots, s.cap.free[n][depth])
 				advanced = true
-				if len(slots) == spec.Tasks {
+				if len(slots) == tasks {
 					break
 				}
 			}
@@ -772,25 +790,25 @@ func (s *Scheduler) placeScatter(spec JobSpec) (*placementResult, bool, error) {
 		}
 	}
 	tier := topology.Machine
-	return s.placeOnSlots(spec, slots, tier, 0)
+	return s.placeOnSlots(j, slots, tier, 0)
 }
 
 // placeOnSlots binds task i to slot i (identity layout).
-func (s *Scheduler) placeOnSlots(spec JobSpec, slots []int, tier topology.Kind, d int) (*placementResult, bool, error) {
-	m, err := spec.Matrix()
+func (s *Scheduler) placeOnSlots(j *jobState, slots []int, tier topology.Kind, d int) (*placementResult, bool, error) {
+	m, err := j.commMatrix()
 	if err != nil {
 		return nil, false, err
 	}
-	taskPU := make([]int, spec.Tasks)
+	taskPU := make([]int, j.spec.Tasks)
 	for t, core := range slots {
 		taskPU[t] = s.topo.Cores()[core].Children[0].OSIndex
 	}
-	return s.finishPlacement(spec, m, taskPU, tier, d)
+	return s.finishPlacement(m, taskPU, tier, d)
 }
 
 // finishPlacement prices the communication of a placement and packages the
 // result.
-func (s *Scheduler) finishPlacement(spec JobSpec, m *comm.Matrix, taskPU []int, tier topology.Kind, d int) (*placementResult, bool, error) {
+func (s *Scheduler) finishPlacement(m *comm.Matrix, taskPU []int, tier topology.Kind, d int) (*placementResult, bool, error) {
 	cores := make([]int, len(taskPU))
 	nodes := map[int]bool{}
 	for t, pu := range taskPU {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -180,6 +181,56 @@ func TestSchedulerWorkloadRoundTrip(t *testing.T) {
 	for i := range jobs {
 		if parsed[i] != jobs[i] {
 			t.Fatalf("job %d round-trip mismatch:\n  %+v\n  %+v", i, jobs[i], parsed[i])
+		}
+	}
+}
+
+// TestJobMatrixBuiltOnce: every probe of a job shares one matrix, built on
+// the first attempt. Probing again yields the identical placement, and the
+// shared matrix still equals a fresh build (entries and labels) after
+// probes under every policy — placement only reads it.
+func TestJobMatrixBuiltOnce(t *testing.T) {
+	mach := schedMachine(t, "rack:2 node:4 pack:2 core:4 pu:1")
+	jobs := append(invariantStream(t, 3),
+		JobSpec{Name: "rand", WorkCycles: 1000, Tasks: 12, Pattern: "random:3@5", VolumeBytes: 512},
+		JobSpec{Name: "grid", WorkCycles: 1000, Tasks: 12, Pattern: "stencil:4x3", VolumeBytes: 512})
+	for _, policy := range []Policy{TopoAware, TopoBlind, FirstFit} {
+		s, err := New(mach, Options{Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range jobs {
+			j := &jobState{spec: spec, seq: i}
+			first, _, err := s.tryPlace(j)
+			if err != nil {
+				t.Fatalf("%v %s: %v", policy, spec.Name, err)
+			}
+			cached := j.matrix
+			if cached == nil {
+				t.Fatalf("%v %s: no matrix cached after the first probe", policy, spec.Name)
+			}
+			again, _, err := s.tryPlace(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.matrix != cached {
+				t.Fatalf("%v %s: second probe rebuilt the matrix", policy, spec.Name)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Fatalf("%v %s: probes disagree: %+v vs %+v", policy, spec.Name, first, again)
+			}
+			fresh, err := spec.Matrix()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cached.Equal(fresh, 0) {
+				t.Fatalf("%v %s: placement mutated the shared matrix", policy, spec.Name)
+			}
+			for e := 0; e < fresh.Order(); e++ {
+				if cached.Label(e) != fresh.Label(e) {
+					t.Fatalf("%v %s: label %d changed to %q", policy, spec.Name, e, cached.Label(e))
+				}
+			}
 		}
 	}
 }

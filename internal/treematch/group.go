@@ -731,31 +731,62 @@ func greedyGroups(m *comm.Matrix, a, k int) [][]int {
 	return greedySizedGroups(m, sizes)
 }
 
+// refineStackSlots bounds the group-pair union (|g1|+|g2|) whose weight
+// table refineGroups keeps on the stack; larger unions share one heap table
+// per call. Per-core grouping in the scheduler's many small placements stays
+// under it and allocates nothing.
+const refineStackSlots = 32
+
 // refineGroups improves the partition with pairwise swaps between groups
 // (a bounded Kernighan–Lin pass): swap x∈g1 with y∈g2 whenever that strictly
 // increases the intra-group volume. Each pass scans all group pairs once.
+//
+// A swap only moves entities between g1 and g2, so each group pair first
+// tabulates W(u,v) = At(u,v)+At(v,u) over the union of its two groups, and
+// every gain then reads the table instead of the matrix. Each group slot
+// carries its entity's union index and swaps along with it, so every intra
+// sum adds the same terms in the same slot order as summing At directly:
+// the gains, and the gain > 1e-12 decisions, are bit-identical.
 func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 	k := len(groups)
-	intra := func(e int, g []int, excl int) float64 {
-		var s float64
-		for _, u := range g {
-			if u != e && u != excl {
-				s += m.At(e, u) + m.At(u, e)
-			}
+	// The two largest groups bound every pair's union.
+	big1, big2 := 0, 0
+	for _, g := range groups {
+		if n := len(g); n > big1 {
+			big1, big2 = n, big1
+		} else if n > big2 {
+			big2 = n
 		}
-		return s
+	}
+	var wStack [refineStackSlots * refineStackSlots]float64
+	var slotStack, unionStack [refineStackSlots]int
+	w, slots, union := wStack[:], slotStack[:], unionStack[:]
+	if s := big1 + big2; s > refineStackSlots {
+		w, slots, union = make([]float64, s*s), make([]int, s), make([]int, s)
 	}
 	for pass := 0; pass < passes; pass++ {
 		improved := false
 		for g1 := 0; g1 < k; g1++ {
 			for g2 := g1 + 1; g2 < k; g2++ {
-				for xi := range groups[g1] {
-					for yi := range groups[g2] {
-						x, y := groups[g1][xi], groups[g2][yi]
-						gain := intra(x, groups[g2], y) + intra(y, groups[g1], x) -
-							intra(x, groups[g1], -1) - intra(y, groups[g2], -1)
+				a, b := groups[g1], groups[g2]
+				s := len(a) + len(b)
+				u := append(append(union[:0], a...), b...)
+				for p := 0; p < s; p++ {
+					slots[p] = p
+					for q := p + 1; q < s; q++ {
+						v := m.At(u[p], u[q]) + m.At(u[q], u[p])
+						w[p*s+q], w[q*s+p] = v, v
+					}
+				}
+				sa, sb := slots[:len(a)], slots[len(a):s]
+				for xi := range sa {
+					for yi := range sb {
+						px, py := sa[xi], sb[yi]
+						gain := tableIntra(w, s, px, sb, py) + tableIntra(w, s, py, sa, px) -
+							tableIntra(w, s, px, sa, -1) - tableIntra(w, s, py, sb, -1)
 						if gain > 1e-12 {
-							groups[g1][xi], groups[g2][yi] = y, x
+							a[xi], b[yi] = b[yi], a[xi]
+							sa[xi], sb[yi] = py, px
 							improved = true
 						}
 					}
@@ -766,6 +797,20 @@ func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 			return
 		}
 	}
+}
+
+// tableIntra is refineGroups' intra-group affinity of union entity e to the
+// group occupying slots, excluding e itself and excl: the row-e entries of
+// the s×s pair table w, summed in slot order.
+func tableIntra(w []float64, s, e int, slots []int, excl int) float64 {
+	row := w[e*s : (e+1)*s]
+	var sum float64
+	for _, q := range slots {
+		if q != e && q != excl {
+			sum += row[q]
+		}
+	}
+	return sum
 }
 
 // crossingStats counts the entities with at least one positive-volume edge

@@ -1,6 +1,7 @@
 package treematch
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -70,7 +71,9 @@ func multilevelPartition(work *comm.Matrix, k, per int, opt Options) ([][]int, e
 		perCur /= 2
 	}
 
-	// Initial partition of the coarsest graph.
+	// Initial partition of the coarsest graph. Every level's boundary pass
+	// shares one scratch, sized for the fine order.
+	sc := newBoundaryScratch(work.Order())
 	var groups [][]int
 	if mat.Order() <= coarsePortfolioMax {
 		var err error
@@ -81,7 +84,7 @@ func multilevelPartition(work *comm.Matrix, k, per int, opt Options) ([][]int, e
 		}
 	} else {
 		groups = greedyGroups(mat, perCur, k)
-		refineGroupsBoundary(mat, groups, passes)
+		sc.refine(mat, groups, passes)
 	}
 
 	// Uncoarsening: expand each coarse vertex into its matched pair and
@@ -97,7 +100,7 @@ func multilevelPartition(work *comm.Matrix, k, per int, opt Options) ([][]int, e
 			expanded[gi] = eg
 		}
 		groups = expanded
-		refineGroupsBoundary(lv.mat, groups, passes)
+		sc.refine(lv.mat, groups, passes)
 	}
 	for _, g := range groups {
 		sort.Ints(g)
@@ -165,12 +168,43 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // promising boundary members. Group sizes are preserved (only swaps are
 // applied). The matrix is assumed symmetric.
 func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
+	newBoundaryScratch(m.Order()).refine(m, groups, passes)
+}
+
+// boundaryScratch is the reusable state of the boundary pass, allocated
+// once per partition and shared by every coarsening level (each at most the
+// order it was sized for):
+//   - group maps entity to group index;
+//   - pos[e] is entity e's position in its side's candidate list, -1 off
+//     the lists;
+//   - da, db hold the two sides' D values and ca, cb their candidate
+//     orderings;
+//   - out and in are the candA×candB table of At(x,y) and the candB×candA
+//     table of At(y,x).
+type boundaryScratch struct {
+	group   []int
+	pos     []int32
+	da, db  []float64
+	ca, cb  []int
+	out, in [maxBoundaryCands * maxBoundaryCands]float64
+}
+
+func newBoundaryScratch(n int) *boundaryScratch {
+	sc := &boundaryScratch{group: make([]int, n), pos: make([]int32, n)}
+	for i := range sc.pos {
+		sc.pos[i] = -1
+	}
+	return sc
+}
+
+// refine is refineGroupsBoundary on the scratch's buffers.
+func (sc *boundaryScratch) refine(m *comm.Matrix, groups [][]int, passes int) {
 	k := len(groups)
 	if k < 2 || passes <= 0 {
 		return
 	}
 	n := m.Order()
-	group := make([]int, n)
+	group := sc.group[:n]
 	for gi, g := range groups {
 		for _, e := range g {
 			group[e] = gi
@@ -214,7 +248,7 @@ func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 		improved := false
 		for _, pr := range pairs {
 			for s := 0; s < maxSwapsPerPair; s++ {
-				if !tryBestBoundarySwap(m, groups, group, pr.a, pr.b) {
+				if !sc.tryBestBoundarySwap(m, groups, group, pr.a, pr.b) {
 					break
 				}
 				improved = true
@@ -229,8 +263,9 @@ func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 // boundaryD returns, for every member x of `members` (all in group own),
 // D(x) = W(x, other) − W(x, own): the cut improvement of moving x across,
 // ignoring the swap partner. Weights count both directions (v+v, symmetric).
-func boundaryD(m *comm.Matrix, members []int, group []int, own, other int) []float64 {
-	d := make([]float64, len(members))
+// The result reuses d's storage when it is large enough.
+func boundaryD(d []float64, m *comm.Matrix, members []int, group []int, own, other int) []float64 {
+	d = slices.Grow(d[:0], len(members))[:len(members)]
 	for idx, x := range members {
 		var toOther, toOwn float64
 		m.ForEachNeighbor(x, func(u int, v float64) {
@@ -250,9 +285,10 @@ func boundaryD(m *comm.Matrix, members []int, group []int, own, other int) []flo
 }
 
 // topByD returns the positions of the maxBoundaryCands best members by
-// (D desc, entity index asc).
-func topByD(g []int, d []float64) []int {
-	idx := make([]int, len(g))
+// (D desc, entity index asc), reusing idx's storage when it is large
+// enough.
+func topByD(idx []int, g []int, d []float64) []int {
+	idx = slices.Grow(idx[:0], len(g))[:len(g)]
 	for i := range idx {
 		idx[i] = i
 	}
@@ -272,20 +308,50 @@ func topByD(g []int, d []float64) []int {
 // groups a and b, restricted to each side's top candidate list, and reports
 // whether it swapped. The gain of swapping x and y is
 // D(x) + D(y) − 2·w(x,y), the standard KL expression.
-func tryBestBoundarySwap(m *comm.Matrix, groups [][]int, group []int, a, b int) bool {
+//
+// The pair weights w(x,y) = At(x,y)+At(y,x) come from tables filled by one
+// walk over each candidate's row, which yields exactly the stored values At
+// would return (absent and explicit-zero entries read as 0).
+func (sc *boundaryScratch) tryBestBoundarySwap(m *comm.Matrix, groups [][]int, group []int, a, b int) bool {
 	ga, gb := groups[a], groups[b]
-	da := boundaryD(m, ga, group, a, b)
-	db := boundaryD(m, gb, group, b, a)
-	candA := topByD(ga, da)
-	candB := topByD(gb, db)
+	sc.da = boundaryD(sc.da, m, ga, group, a, b)
+	sc.db = boundaryD(sc.db, m, gb, group, b, a)
+	sc.ca = topByD(sc.ca, ga, sc.da)
+	sc.cb = topByD(sc.cb, gb, sc.db)
+	da, db, candA, candB := sc.da, sc.db, sc.ca, sc.cb
+	na, nb := len(candA), len(candB)
+	for ia, xi := range candA {
+		sc.pos[ga[xi]] = int32(ia)
+	}
+	for ib, yi := range candB {
+		sc.pos[gb[yi]] = int32(ib)
+	}
+	fill := func(table []float64, x, other int) {
+		clear(table)
+		m.ForEachNeighbor(x, func(u int, v float64) {
+			if group[u] == other && sc.pos[u] >= 0 {
+				table[sc.pos[u]] = v
+			}
+		})
+	}
+	for ia, xi := range candA {
+		fill(sc.out[ia*nb:(ia+1)*nb], ga[xi], b)
+	}
+	for ib, yi := range candB {
+		fill(sc.in[ib*na:(ib+1)*na], gb[yi], a)
+	}
+	for _, xi := range candA {
+		sc.pos[ga[xi]] = -1
+	}
+	for _, yi := range candB {
+		sc.pos[gb[yi]] = -1
+	}
 	const eps = 1e-12
 	bestGain := eps
 	bestXi, bestYi := -1, -1
-	for _, xi := range candA {
-		x := ga[xi]
-		for _, yi := range candB {
-			y := gb[yi]
-			w := m.At(x, y) + m.At(y, x)
+	for ia, xi := range candA {
+		for ib, yi := range candB {
+			w := sc.out[ia*nb+ib] + sc.in[ib*na+ia]
 			if gain := da[xi] + db[yi] - (w + w); gain > bestGain {
 				bestGain, bestXi, bestYi = gain, xi, yi
 			}
